@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from . import __version__, verify as verify_mod
 from .directions import Direction, Z_AXIS
 from .expectation import (
     InternalConsistencyError,
-    expectation_matrix,
-    expectation_oracle,
     outcome_probabilities,
     verify_basis_invariance,
 )
@@ -51,9 +49,47 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
-_SWEEP_PARAMS = tuple(
-    f"{obj}.{field}" for obj in ("a", "c1", "c2", "d", "f") for field in ("theta", "phi")
+# Where each direction that scan can sweep lives in a RunConfig.
+_SWEEP_PATHS = {"a": "label.axis", "c1": "spec.c1", "c2": "spec.c2", "d": "d", "f": "f"}
+_SWEEP_PARAMS = tuple(f"{obj}.{f}" for obj in _SWEEP_PATHS for f in ("theta", "phi"))
+
+_TOL_HELP = "override one check tolerance (repeatable); NAME is one of " + ", ".join(
+    verify_mod.check_names()
 )
+
+# Flag groups as (flag, help[, other add_argument keywords]); _SUBCOMMANDS
+# says which groups each subcommand takes.
+_FLAG_GROUPS: dict[str, tuple[tuple, ...]] = {
+    "common": (
+        ("--config", "JSON file with defaults for any flag"),
+        ("--format", None, {"choices": ("json", "csv")}),
+        ("--seed", None, {"type": int}),
+    ),
+    "label": (
+        ("--s", "total spin, 0 or 1"),
+        ("--M", "magnetic quantum number"),
+        ("--a", "quantization axis 'theta,phi'"),
+    ),
+    "df": (
+        ("--d", "first intermediate direction"),
+        ("--f", "second intermediate direction"),
+    ),
+    "meas": (("--c1", "first measured direction"), ("--c2", "second measured direction")),
+    "values": (
+        ("--r1", "outcome values 'plus,minus'"),
+        ("--r2", "outcome values 'plus,minus'"),
+    ),
+    "grid": (
+        ("--grid", "sample an NxN grid of intermediate pairs for the invariance residual"),
+    ),
+    "tol": (("--tol", _TOL_HELP, {"action": "append", "metavar": "NAME=VALUE"}),),
+    "sweep": (
+        ("--param", "one of " + ", ".join(_SWEEP_PARAMS)),
+        ("--start", None),
+        ("--stop", None),
+        ("--steps", None),
+    ),
+}
 
 
 class UsageError(Exception):
@@ -94,166 +130,8 @@ class RunConfig:
 def _parse_float(token, field: str) -> float:
     try:
         return float(token)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: huge JSON ints
         raise UsageError(f"{field}: malformed number {token!r}") from None
-
-
-def _parse_angle(token, field: str) -> float:
-    if isinstance(token, bool):
-        raise UsageError(f"{field}: malformed angle {token!r}")
-    if isinstance(token, (int, float)):
-        return float(token)
-    text = str(token).strip()
-    if text.lower().endswith("deg"):
-        return math.radians(_parse_float(text[:-3], field))
-    return _parse_float(text, field)
-
-
-def _parse_direction(value, field: str) -> Direction:
-    if isinstance(value, Direction):
-        return value
-    if isinstance(value, dict):
-        extra = set(value) - {"theta", "phi"}
-        if extra:
-            raise UsageError(f"{field}: unknown keys {sorted(extra)}")
-        return Direction(
-            _parse_angle(value.get("theta", 0.0), f"{field}.theta"),
-            _parse_angle(value.get("phi", 0.0), f"{field}.phi"),
-        )
-    if isinstance(value, str):
-        parts = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise UsageError(f"{field}: expected 'theta,phi', got {value!r}")
-    if len(parts) != 2:
-        raise UsageError(f"{field}: expected two comma-separated angles, got {value!r}")
-    return Direction(
-        _parse_angle(parts[0], f"{field}.theta"), _parse_angle(parts[1], f"{field}.phi")
-    )
-
-
-def _parse_values(value, field: str) -> OutcomeValues:
-    if isinstance(value, OutcomeValues):
-        return value
-    if isinstance(value, dict):
-        extra = set(value) - {"plus", "minus"}
-        if extra:
-            raise UsageError(f"{field}: unknown keys {sorted(extra)}")
-        pair = (value.get("plus", 1.0), value.get("minus", -1.0))
-    elif isinstance(value, str):
-        pair = value.split(",")
-    elif isinstance(value, (list, tuple)):
-        pair = list(value)
-    else:
-        raise UsageError(f"{field}: expected 'r_plus,r_minus', got {value!r}")
-    if len(pair) != 2:
-        raise UsageError(f"{field}: expected two comma-separated values, got {value!r}")
-    try:
-        return OutcomeValues(
-            _parse_float(pair[0], f"{field}.plus"), _parse_float(pair[1], f"{field}.minus")
-        )
-    except ValueError as exc:
-        raise UsageError(f"{field}: {exc}") from None
-
-
-def _parse_tolerances(entries, field: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    if entries is None:
-        return out
-    if isinstance(entries, dict):
-        items = entries.items()
-    else:
-        items = []
-        for entry in entries:
-            if "=" not in str(entry):
-                raise UsageError(f"{field}: expected NAME=VALUE, got {entry!r}")
-            name, _, value = str(entry).partition("=")
-            items.append((name.strip(), value))
-    for name, value in items:
-        if name not in verify_mod.DEFAULT_TOLERANCES:
-            raise UsageError(f"{field}: unknown check {name!r}")
-        out[name] = _parse_float(value, f"{field}.{name}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# argument and config handling
-
-
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults for any flag")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-
-    label_args = argparse.ArgumentParser(add_help=False)
-    label_args.add_argument("--s", default=None, help="total spin, 0 or 1")
-    label_args.add_argument("--M", default=None, help="magnetic quantum number")
-    label_args.add_argument("--a", default=None, help="quantization axis 'theta,phi'")
-
-    df_args = argparse.ArgumentParser(add_help=False)
-    df_args.add_argument("--d", default=None, help="first intermediate direction")
-    df_args.add_argument("--f", default=None, help="second intermediate direction")
-
-    meas_args = argparse.ArgumentParser(add_help=False)
-    meas_args.add_argument("--c1", default=None, help="first measured direction")
-    meas_args.add_argument("--c2", default=None, help="second measured direction")
-
-    value_args = argparse.ArgumentParser(add_help=False)
-    value_args.add_argument("--r1", default=None, help="outcome values 'plus,minus'")
-    value_args.add_argument("--r2", default=None, help="outcome values 'plus,minus'")
-
-    parser = _Parser(
-        prog="spinpair",
-        description="States, observables and correlations of a coupled spin-1/2 pair.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("state", parents=[common, label_args, df_args])
-    sub.add_parser("operator", parents=[common, df_args, meas_args, value_args])
-    sub.add_parser("probabilities", parents=[common, label_args, meas_args])
-
-    expect = sub.add_parser(
-        "expect", parents=[common, label_args, df_args, meas_args, value_args]
-    )
-    expect.add_argument(
-        "--grid",
-        default=None,
-        help="sample an NxN grid of intermediate pairs for the invariance residual",
-    )
-
-    verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument(
-        "--tol",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help="override one check tolerance (repeatable)",
-    )
-
-    scan = sub.add_parser(
-        "scan", parents=[common, label_args, df_args, meas_args, value_args]
-    )
-    scan.add_argument("--param", default=None, help="one of " + ", ".join(_SWEEP_PARAMS))
-    scan.add_argument("--start", default=None)
-    scan.add_argument("--stop", default=None)
-    scan.add_argument("--steps", default=None)
-    return parser
-
-
-def _load_config_file(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"--config: cannot read {path!r} ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--config: invalid JSON in {path!r} ({exc})") from None
-    if not isinstance(data, dict):
-        raise UsageError("--config: top level must be a JSON object")
-    return data
 
 
 def _parse_int(token, field: str) -> int:
@@ -263,168 +141,237 @@ def _parse_int(token, field: str) -> int:
         raise UsageError(f"{field}: malformed integer {token!r}") from None
 
 
+def _parse_angle(token, field: str) -> float:
+    if isinstance(token, bool):
+        raise UsageError(f"{field}: malformed angle {token!r}")
+    text = str(token).strip()
+    if text.lower().endswith("deg"):
+        return math.radians(_parse_float(text[:-3], field))
+    return _parse_float(text, field)
+
+
+def _construct(cls, prefix: str, *args):
+    """``cls(*args)``, with the constructor's ValueError as a UsageError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from None
+
+
+# Per pair type: config-object keys with their defaults, the token parser,
+# and the expected form and noun that error messages name.
+_PAIR_FORMS = {
+    Direction: (("theta", "phi"), (0.0, 0.0), _parse_angle, "'theta,phi'", "angles"),
+    OutcomeValues: (
+        ("plus", "minus"), (1.0, -1.0), _parse_float, "'r_plus,r_minus'", "values"
+    ),
+}
+
+
+def _parse_pair(value, field: str, cls):
+    """A Direction or OutcomeValues from 'x,y', [x, y] or {key: x, ...}."""
+    keys, defaults, parse_token, form, noun = _PAIR_FORMS[cls]
+    if isinstance(value, dict):
+        extra = set(value) - set(keys)
+        if extra:
+            raise UsageError(f"{field}: unknown keys {sorted(extra)}")
+        tokens = [value.get(key, default) for key, default in zip(keys, defaults)]
+    elif isinstance(value, (str, list, tuple)):
+        tokens = value.split(",") if isinstance(value, str) else list(value)
+    else:
+        raise UsageError(f"{field}: expected {form}, got {value!r}")
+    if len(tokens) != 2:
+        raise UsageError(f"{field}: expected two comma-separated {noun}, got {value!r}")
+    args = [parse_token(token, f"{field}.{key}") for token, key in zip(tokens, keys)]
+    return _construct(cls, f"{field}: ", *args)
+
+
+def _parse_tolerances(entries, field: str) -> dict[str, float]:
+    if entries is None:
+        return {}
+    if isinstance(entries, dict):
+        items = list(entries.items())
+    elif isinstance(entries, list):
+        items = []
+        for entry in entries:
+            name, eq, value = str(entry).partition("=")
+            if not eq:
+                raise UsageError(f"{field}: expected NAME=VALUE, got {entry!r}")
+            items.append((name.strip(), value))
+    else:
+        raise UsageError(f"{field}: expected NAME=VALUE entries, got {entries!r}")
+    out: dict[str, float] = {}
+    for name, value in items:
+        if name not in verify_mod.DEFAULT_TOLERANCES:
+            raise UsageError(f"{field}: unknown check {name!r}")
+        tol = _parse_float(value, f"{field}.{name}")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise UsageError(f"{field}.{name}: must be finite and positive, got {tol!r}")
+        out[name] = tol
+    return out
+
+
+# ---------------------------------------------------------------------------
+# argument and config handling
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="spinpair",
+        description="States, observables and correlations of a coupled spin-1/2 pair.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, groups) in _SUBCOMMANDS.items():
+        sub_parser = sub.add_parser(command)
+        for group in ("common",) + groups:
+            for flag, help_text, *kwargs in _FLAG_GROUPS[group]:
+                kwargs = kwargs[0] if kwargs else {}
+                sub_parser.add_argument(flag, help=help_text, **kwargs)
+    return parser
+
+
+def _load_config_file(path: str) -> dict[str, Any]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"--config: cannot read {path!r} ({exc})") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+        raise UsageError(f"--config: invalid JSON in {path!r} ({exc})") from None
+    if not isinstance(data, dict):
+        raise UsageError("--config: top level must be a JSON object")
+    return data
+
+
 def parse_config(argv=None) -> RunConfig:
     """Turn argv (plus an optional config file) into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
+    command = args.command
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     def opt(key: str, fallback=None):
         value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, fallback)
-        return value
+        return file_cfg.get(key, fallback) if value is None else value
 
-    command = args.command
+    def required(*keys: str) -> list:
+        values = [opt(key) for key in keys]
+        if any(value is None for value in values):
+            *rest, last = [f"--{key}" for key in keys]
+            names = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
+            raise UsageError(f"{names} required for {command}")
+        return values
+
+    groups = _SUBCOMMANDS[command][1]
     output_format = opt("format", "json")
     if output_format not in ("json", "csv"):
         raise UsageError(f"--format: expected json or csv, got {output_format!r}")
     seed = opt("seed")
-    if seed is not None:
-        seed = _parse_int(seed, "--seed")
+    fields: dict[str, Any] = {
+        "output_format": output_format,
+        "seed": None if seed is None else _parse_int(seed, "--seed"),
+    }
 
-    config = RunConfig(command=command, output_format=output_format, seed=seed)
-
-    if command in ("state", "probabilities", "expect", "scan"):
-        s = opt("s")
-        M = opt("M")
-        if s is None:
-            raise UsageError(f"--s is required for {command}")
-        if M is None:
-            raise UsageError(f"--M is required for {command}")
-        try:
-            label = CompoundLabel(
-                _parse_int(s, "--s"),
-                _parse_int(M, "--M"),
-                _parse_direction(opt("a", "0,0"), "--a"),
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        config = replace(config, label=label)
-
-    if command in ("operator", "probabilities", "expect", "scan"):
-        c1 = opt("c1")
-        c2 = opt("c2")
-        if c1 is None or c2 is None:
-            raise UsageError(f"--c1 and --c2 are required for {command}")
-        spec = MeasurementSpec(
-            _parse_direction(c1, "--c1"),
-            _parse_direction(c2, "--c2"),
-            _parse_values(opt("r1", "1,-1"), "--r1"),
-            _parse_values(opt("r2", "1,-1"), "--r2"),
-        )
-        config = replace(config, spec=spec)
-
-    if command in ("state", "operator", "expect", "scan"):
-        config = replace(
-            config,
-            d=_parse_direction(opt("d", "0,0"), "--d"),
-            f=_parse_direction(opt("f", "0,0"), "--f"),
+    if "label" in groups:
+        (s,), (M,) = required("s"), required("M")
+        # CompoundLabel's own messages name s and M, so they carry no prefix.
+        fields["label"] = _construct(
+            CompoundLabel,
+            "",
+            _parse_int(s, "--s"),
+            _parse_int(M, "--M"),
+            _parse_pair(opt("a", "0,0"), "--a", Direction),
         )
 
-    if command == "expect":
-        grid = _parse_int(opt("grid", 1), "--grid")
-        if grid < 1:
+    if "meas" in groups:
+        c1, c2 = required("c1", "c2")
+        fields["spec"] = MeasurementSpec(
+            _parse_pair(c1, "--c1", Direction),
+            _parse_pair(c2, "--c2", Direction),
+            _parse_pair(opt("r1", "1,-1"), "--r1", OutcomeValues),
+            _parse_pair(opt("r2", "1,-1"), "--r2", OutcomeValues),
+        )
+
+    if "df" in groups:
+        fields["d"] = _parse_pair(opt("d", "0,0"), "--d", Direction)
+        fields["f"] = _parse_pair(opt("f", "0,0"), "--f", Direction)
+
+    if "grid" in groups:
+        fields["grid"] = _parse_int(opt("grid", 1), "--grid")
+        if fields["grid"] < 1:
             raise UsageError("--grid: must be at least 1")
-        config = replace(config, grid=grid)
 
-    if command == "verify":
-        config = replace(config, tolerances=_parse_tolerances(opt("tol"), "--tol"))
+    if "tol" in groups:
+        fields["tolerances"] = _parse_tolerances(opt("tol"), "--tol")
 
-    if command == "scan":
-        param = opt("param")
-        if param is None:
-            raise UsageError("--param is required for scan")
+    if "sweep" in groups:
+        (param,) = required("param")
         if param not in _SWEEP_PARAMS:
             raise UsageError(
                 f"--param: unknown parameter {param!r}, expected one of "
                 + ", ".join(_SWEEP_PARAMS)
             )
-        start = opt("start")
-        stop = opt("stop")
-        steps = opt("steps")
-        if start is None or stop is None or steps is None:
-            raise UsageError("--start, --stop and --steps are required for scan")
+        start, stop, steps = required("start", "stop", "steps")
         steps = _parse_int(steps, "--steps")
         if steps < 2:
             raise UsageError("--steps: must be at least 2")
-        sweep = SweepSpec(
-            param,
-            _parse_angle(start, "--start"),
-            _parse_angle(stop, "--stop"),
-            steps,
-        )
-        config = replace(config, sweep=sweep)
+        ends = [_parse_angle(start, "--start"), _parse_angle(stop, "--stop")]
+        for flag, end in zip(("--start", "--stop"), ends):
+            if not math.isfinite(end):
+                raise UsageError(f"{flag}: must be finite, got {end!r}")
+        fields["sweep"] = SweepSpec(param, *ends, steps)
 
-    return config
+    return RunConfig(command=command, **fields)
 
 
 # ---------------------------------------------------------------------------
 # output encoding
 
 
-def _to_jsonable(value):
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
+def _json_default(value):
+    """JSON form of the non-JSON values records hold (json.dumps recurses)."""
     if isinstance(value, np.ndarray):
-        return [_to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
+        return value.tolist()
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
-def _flatten(record: dict[str, Any]) -> dict[str, Any]:
-    flat: dict[str, Any] = {}
+def _flatten(record: dict[str, Any]) -> dict[str, str]:
+    """CSV cells: arrays and lists over indexed columns, complex over _re/_im."""
+    cells: dict[str, str] = {}
 
     def add(key: str, value):
-        if isinstance(value, np.ndarray):
-            if value.ndim == 1:
-                for i, v in enumerate(value.tolist()):
-                    add(f"{key}_{i}", v)
-            elif value.ndim == 2:
-                for i in range(value.shape[0]):
-                    for j in range(value.shape[1]):
-                        add(f"{key}_{i}{j}", value[i, j].item())
-            else:
-                raise ValueError(f"cannot flatten array of shape {value.shape}")
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            for (i, j), v in np.ndenumerate(value):
+                add(f"{key}_{i}{j}", v)
+        elif isinstance(value, (list, tuple, np.ndarray)):
             for i, v in enumerate(value):
                 add(f"{key}_{i}", v)
         elif isinstance(value, complex):
-            flat[f"{key}_re"] = float(value.real)
-            flat[f"{key}_im"] = float(value.imag)
-        elif isinstance(value, np.floating):
-            flat[key] = float(value)
-        elif isinstance(value, (np.integer, np.bool_)):
-            flat[key] = value.item()
+            add(f"{key}_re", float(value.real))
+            add(f"{key}_im", float(value.imag))
+        elif isinstance(value, np.generic):
+            add(key, value.item())
+        elif isinstance(value, bool):
+            cells[key] = "true" if value else "false"
+        elif isinstance(value, float):
+            cells[key] = repr(value)
         else:
-            flat[key] = value
+            cells[key] = "" if value is None else str(value)
+
     for k, v in record.items():
         add(k, v)
-    return flat
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    return cells
 
 
 def emit_records(records, output_format: str, out) -> None:
     if output_format == "json":
         for record in records:
-            out.write(json.dumps(_to_jsonable(record), separators=(",", ":")) + "\n")
+            line = json.dumps(record, separators=(",", ":"), default=_json_default)
+            out.write(line + "\n")
         return
     rows = [_flatten(r) for r in records]
     header = list(rows[0])
@@ -433,40 +380,80 @@ def emit_records(records, output_format: str, out) -> None:
     for row in rows:
         if list(row) != header:
             raise ValueError("records in one CSV stream must share a schema")
-        writer.writerow([_cell(row[k]) for k in header])
+        writer.writerow(row.values())
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _echo_direction(prefix: str, d: Direction) -> dict[str, float]:
-    return {f"{prefix}_theta": d.theta, f"{prefix}_phi": d.phi}
-
-
-def _echo_label(label: CompoundLabel) -> dict[str, Any]:
-    return {"s": label.s, "M": label.M, **_echo_direction("a", label.axis)}
-
-
-def _echo_values(prefix: str, v: OutcomeValues) -> dict[str, float]:
-    return {f"{prefix}_plus": v.r_plus, f"{prefix}_minus": v.r_minus}
-
-
-def _echo_spec(spec: MeasurementSpec) -> dict[str, Any]:
+def _pair_fields(**pairs) -> dict[str, float]:
+    """<name>_theta, <name>_phi or <name>_plus, <name>_minus for each named pair."""
     return {
-        **_echo_direction("c1", spec.c1),
-        **_echo_direction("c2", spec.c2),
-        **_echo_values("r1", spec.values1),
-        **_echo_values("r2", spec.values2),
+        f"{name}_{key}": v
+        for name, pair in pairs.items()
+        for key, v in zip(_PAIR_FORMS[type(pair)][0], vars(pair).values())
     }
+
+
+def _echo(config: RunConfig) -> dict[str, Any]:
+    """Record fields echoing the inputs of each flag group the command takes."""
+    label, spec = config.label, config.spec
+    out: dict[str, Any] = {}
+    for group in _SUBCOMMANDS[config.command][1]:
+        if group == "label":
+            out.update(s=label.s, M=label.M, **_pair_fields(a=label.axis))
+        elif group == "df":
+            out.update(_pair_fields(d=config.d, f=config.f))
+        elif group == "meas":
+            out.update(_pair_fields(c1=spec.c1, c2=spec.c2))
+        elif group == "values":
+            out.update(_pair_fields(r1=spec.values1, r2=spec.values2))
+        elif group == "grid":
+            out["grid"] = config.grid
+    return out
 
 
 def _metadata(config: RunConfig, timestamp: str) -> dict[str, Any]:
     return {"version": __version__, "seed": config.seed, "timestamp": timestamp}
 
 
-def _expect_payload(label, spec, d, f) -> dict[str, Any]:
-    report = verify_basis_invariance(label, spec, [(d, f)])
+def _record(config: RunConfig, timestamp: str, head=None, **results) -> dict[str, Any]:
+    """One output record: command, ``head``, input echo, results, metadata."""
+    return {
+        "command": config.command,
+        **(head or {}),
+        **_echo(config),
+        **results,
+        **_metadata(config, timestamp),
+    }
+
+
+def _cmd_state(config: RunConfig, timestamp: str):
+    asm = assemble_state(config.label, config.d, config.f)
+    record = _record(
+        config,
+        timestamp,
+        coefficients=np.array([t.coefficient for t in asm.terms]),
+        tensor=asm.tensor,
+        norm_sq=float(np.vdot(asm.tensor, asm.tensor).real),
+    )
+    return [record], EXIT_OK
+
+
+def _cmd_operator(config: RunConfig, timestamp: str):
+    r1, r2 = operator_pair(config.spec, config.d, config.f)
+    return [_record(config, timestamp, r1=r1, r2=r2)], EXIT_OK
+
+
+def _cmd_probabilities(config: RunConfig, timestamp: str):
+    p = outcome_probabilities(config.label, config.spec.c1, config.spec.c2)
+    return [_record(config, timestamp, probabilities=p, prob_sum=float(np.sum(p)))], EXIT_OK
+
+
+def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
+    """The expect and scan results: both routes over the (d, f) pairs."""
+    report = verify_basis_invariance(config.label, config.spec, pairs)
     return {
         "value_matrix_path": report.value_matrix_path,
         "value_oracle_path": report.value_oracle_path,
@@ -476,99 +463,31 @@ def _expect_payload(label, spec, d, f) -> dict[str, Any]:
     }
 
 
-def _cmd_state(config: RunConfig, timestamp: str):
-    asm = assemble_state(config.label, config.d, config.f)
-    record = {
-        "command": "state",
-        **_echo_label(config.label),
-        **_echo_direction("d", config.d),
-        **_echo_direction("f", config.f),
-        "coefficients": np.array([t.coefficient for t in asm.terms]),
-        "tensor": asm.tensor,
-        "norm_sq": float(np.vdot(asm.tensor, asm.tensor).real),
-        **_metadata(config, timestamp),
-    }
-    return [record], EXIT_OK
-
-
-def _cmd_operator(config: RunConfig, timestamp: str):
-    r1, r2 = operator_pair(config.spec, config.d, config.f)
-    record = {
-        "command": "operator",
-        **_echo_direction("d", config.d),
-        **_echo_direction("f", config.f),
-        **_echo_spec(config.spec),
-        "r1": r1,
-        "r2": r2,
-        **_metadata(config, timestamp),
-    }
-    return [record], EXIT_OK
-
-
-def _cmd_probabilities(config: RunConfig, timestamp: str):
-    p = outcome_probabilities(config.label, config.spec.c1, config.spec.c2)
-    record = {
-        "command": "probabilities",
-        **_echo_label(config.label),
-        **_echo_direction("c1", config.spec.c1),
-        **_echo_direction("c2", config.spec.c2),
-        "probabilities": p,
-        "prob_sum": float(np.sum(p)),
-        **_metadata(config, timestamp),
-    }
-    return [record], EXIT_OK
-
-
-def _grid_pairs(config: RunConfig):
-    if config.grid == 1:
-        return [(config.d, config.f)]
-    rng = np.random.default_rng(config.seed or 0)
-
-    def rand():
-        return Direction(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-
-    ds = [config.d] + [rand() for _ in range(config.grid - 1)]
-    fs = [config.f] + [rand() for _ in range(config.grid - 1)]
-    return [(d, f) for d in ds for f in fs]
-
-
 def _cmd_expect(config: RunConfig, timestamp: str):
-    report = verify_basis_invariance(config.label, config.spec, _grid_pairs(config))
-    record = {
-        "command": "expect",
-        **_echo_label(config.label),
-        **_echo_direction("d", config.d),
-        **_echo_direction("f", config.f),
-        **_echo_spec(config.spec),
-        "grid": config.grid,
-        "value_matrix_path": report.value_matrix_path,
-        "value_oracle_path": report.value_oracle_path,
-        "residual": report.residual,
-        "basis_invariance_residual": report.basis_invariance_residual,
-        "probabilities": list(report.probabilities),
-        **_metadata(config, timestamp),
-    }
-    return [record], EXIT_OK
+    rng = np.random.default_rng(config.seed or 0)
+    draw = verify_mod._random_direction
+    ds = [config.d] + [draw(rng) for _ in range(config.grid - 1)]
+    fs = [config.f] + [draw(rng) for _ in range(config.grid - 1)]
+    results = _correlation(config, [(d, f) for d in ds for f in fs])
+    return [_record(config, timestamp, **results)], EXIT_OK
 
 
 def _cmd_verify(config: RunConfig, timestamp: str):
     seed = 0 if config.seed is None else config.seed
     results = verify_mod.run_verification(seed, config.tolerances)
-    records = []
-    for res in results:
-        records.append(
-            {
-                "command": "verify",
-                "check": res.name,
-                "samples": res.samples,
-                "max_residual": res.max_residual,
-                "tolerance": res.tolerance,
-                "passed": res.passed,
-                "version": __version__,
-                "seed": seed,
-                "timestamp": timestamp,
-            }
+    config = replace(config, seed=seed)
+    records = [
+        _record(
+            config,
+            timestamp,
+            check=res.name,
+            samples=res.samples,
+            max_residual=res.max_residual,
+            tolerance=res.tolerance,
+            passed=res.passed,
         )
+        for res in results
+    ]
     failed = [r.name for r in results if not r.passed]
     summary = f"{len(results) - len(failed)}/{len(results)} checks passed (seed={seed})"
     if failed:
@@ -577,62 +496,44 @@ def _cmd_verify(config: RunConfig, timestamp: str):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
-def _apply_sweep(config: RunConfig, value: float) -> RunConfig:
-    obj, _, field = config.sweep.param.partition(".")
-
-    def moved(direction: Direction) -> Direction:
-        if field == "theta":
-            return Direction(value, direction.phi)
-        return Direction(direction.theta, value)
-
-    if obj == "a":
-        label = config.label
-        return replace(
-            config, label=CompoundLabel(label.s, label.M, moved(label.axis))
-        )
-    if obj == "c1":
-        return replace(config, spec=replace(config.spec, c1=moved(config.spec.c1)))
-    if obj == "c2":
-        return replace(config, spec=replace(config.spec, c2=moved(config.spec.c2)))
-    if obj == "d":
-        return replace(config, d=moved(config.d))
-    return replace(config, f=moved(config.f))
+def _replaced(obj, path: list[str], value):
+    """``obj`` with the attribute at ``path`` set to ``value``, by dataclasses.replace."""
+    name, *rest = path
+    if rest:
+        value = _replaced(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
 
 
 def _cmd_scan(config: RunConfig, timestamp: str):
+    param = config.sweep.param
+    obj, _, field = param.partition(".")
+    path = _SWEEP_PATHS[obj].split(".") + [field]
     records = []
     for value in np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps):
-        point = _apply_sweep(config, float(value))
-        records.append(
-            {
-                "command": "scan",
-                "param": config.sweep.param,
-                "value": float(value),
-                **_echo_label(point.label),
-                **_echo_direction("d", point.d),
-                **_echo_direction("f", point.f),
-                **_echo_spec(point.spec),
-                **_expect_payload(point.label, point.spec, point.d, point.f),
-                **_metadata(config, timestamp),
-            }
-        )
+        point = _replaced(config, path, float(value))
+        head = {"param": param, "value": float(value)}
+        results = _correlation(point, [(point.d, point.f)])
+        records.append(_record(point, timestamp, head, **results))
     return records, EXIT_OK
 
 
-_COMMANDS = {
-    "state": _cmd_state,
-    "operator": _cmd_operator,
-    "probabilities": _cmd_probabilities,
-    "expect": _cmd_expect,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
+# Each subcommand's handler and the flag groups it takes after "common", in
+# --help order.  The groups also decide which flags parse_config reads and
+# which inputs _echo copies into the records.
+_SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "state": (_cmd_state, ("label", "df")),
+    "operator": (_cmd_operator, ("df", "meas", "values")),
+    "probabilities": (_cmd_probabilities, ("label", "meas")),
+    "expect": (_cmd_expect, ("label", "df", "meas", "values", "grid")),
+    "verify": (_cmd_verify, ("tol",)),
+    "scan": (_cmd_scan, ("label", "df", "meas", "values", "sweep")),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a parsed RunConfig, writing records to stdout."""
     timestamp = datetime.now(timezone.utc).isoformat()
-    records, code = _COMMANDS[config.command](config, timestamp)
+    records, code = _SUBCOMMANDS[config.command][0](config, timestamp)
     emit_records(records, config.output_format, sys.stdout)
     return code
 
@@ -650,9 +551,7 @@ def main(argv=None) -> int:
             "command": config.command,
             "error": "internal-consistency",
             "detail": str(exc),
-            "version": __version__,
-            "seed": config.seed,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+            **_metadata(config, datetime.now(timezone.utc).isoformat()),
         }
         emit_records([record], config.output_format, sys.stdout)
         print(f"internal consistency violation: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ import pytest
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
 from spinpair import Direction, expectation_matrix
+from spinpair.verify import check_names
 from spinpair.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -98,11 +99,63 @@ class TestParsing:
             "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param c2.theta --start 0 --stop 1 --steps 1",
             "verify --tol nonsense=1e-9",
             "expect --s 0 --M 0 --c1 0,0 --c2 0,0 --grid 0",
+            "expect --s 1 --M 0 --c1 0,0 --c2 nan,0",
+            "expect --s 1 --M 0 --c1 0,0 --c2 1e400,0",
+            "state --s 1 --M 0 --d nan,0",
+            "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param c2.theta --start 0 --stop inf --steps 3",
+            "verify --tol kernel_unitarity=inf",
+            "verify --tol kernel_unitarity=nan",
+            "verify --tol kernel_unitarity=0",
+            "verify --tol kernel_unitarity=-1",
         ],
     )
     def test_malformed_invocations(self, argv):
         with pytest.raises(UsageError):
             parse_config(argv.split())
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("expect --s 1 --M 0 --c1 0,0 --c2 nan,0", "--c2"),
+            ("expect --s 1 --M 0 --c1 inf,0 --c2 0,0", "--c1"),
+            ("state --s 1 --M 0 --f 0,nan", "--f"),
+            ("state --s 0 --M 0 --a nan,0", "--a"),
+            (
+                "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param d.phi --start nan --stop 1 --steps 3",
+                "--start",
+            ),
+        ],
+    )
+    def test_non_finite_angle_is_a_one_line_usage_error(self, capsys, argv, flag):
+        assert main(argv.split()) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("verify", b'{"tol": 5}'),
+            ("verify", b'{"tol": {"kernel_unitarity": 0}}'),
+            ("verify", b'{"tol": ["chsh_extremum=inf"]}'),
+            ("expect", b'{"s": 1, "M": 0, "c1": "0,0", "c2": [1e999, 0]}'),
+            ("expect", b'{"s": 1, "M": 0, "c1": "0,0", "c2": "0,0", "r1": [1' + b"0" * 400 + b", 1]}"),
+            ("expect", b"\xff\xfe"),
+        ],
+        ids=["tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8"],
+    )
+    def test_malformed_config_files(self, tmp_path, command, body):
+        path = tmp_path / "run.json"
+        path.write_bytes(body)
+        with pytest.raises(UsageError):
+            parse_config([command, "--config", str(path)])
+
+    def test_verify_help_lists_every_check(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        missing = [name for name in check_names() if name not in out]
+        assert not missing
 
     def test_unknown_command_exits_one(self, capsys):
         assert main(["bogus"]) == EXIT_USAGE
@@ -202,6 +255,68 @@ class TestCommands:
         records = _json_lines(out)
         assert len(records) == 7
         assert [r["param"] for r in records] == ["a.theta"] * 7
+
+
+_ECHO_LABEL = "s M a_theta a_phi"
+_ECHO_DF = "d_theta d_phi f_theta f_phi"
+_ECHO_SPEC = "c1_theta c1_phi c2_theta c2_phi r1_plus r1_minus r2_plus r2_minus"
+_ROUTES = "value_matrix_path value_oracle_path residual basis_invariance_residual"
+_META = "version seed timestamp"
+_P4 = "probabilities_0 probabilities_1 probabilities_2 probabilities_3"
+
+
+def _cplx(prefix, suffixes):
+    return " ".join(f"{prefix}_{s}_{part}" for s in suffixes.split() for part in ("re", "im"))
+
+
+# The record schema of each subcommand: JSON keys in order and the CSV header.
+# Keys only, so last-bit changes in the numbers do not break it.
+_SCHEMAS = [
+    (
+        "state --s 1 --M 0",
+        f"command {_ECHO_LABEL} {_ECHO_DF} coefficients tensor norm_sq {_META}",
+        f"command {_ECHO_LABEL} {_ECHO_DF} {_cplx('coefficients', '0 1 2 3')} "
+        f"{_cplx('tensor', '0 1 2 3')} norm_sq {_META}",
+    ),
+    (
+        "operator --c1 0,0 --c2 1,0",
+        f"command {_ECHO_DF} {_ECHO_SPEC} r1 r2 {_META}",
+        f"command {_ECHO_DF} {_ECHO_SPEC} {_cplx('r1', '00 01 10 11')} "
+        f"{_cplx('r2', '00 01 10 11')} {_META}",
+    ),
+    (
+        "probabilities --s 0 --M 0 --c1 0,0 --c2 1,0",
+        f"command {_ECHO_LABEL} c1_theta c1_phi c2_theta c2_phi probabilities prob_sum {_META}",
+        f"command {_ECHO_LABEL} c1_theta c1_phi c2_theta c2_phi {_P4} prob_sum {_META}",
+    ),
+    (
+        "expect --s 0 --M 0 --c1 0,0 --c2 1,0",
+        f"command {_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC} grid {_ROUTES} probabilities {_META}",
+        f"command {_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC} grid {_ROUTES} {_P4} {_META}",
+    ),
+    (
+        "verify --seed 7",
+        f"command check samples max_residual tolerance passed {_META}",
+        f"command check samples max_residual tolerance passed {_META}",
+    ),
+    (
+        "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param c2.theta --start 0 --stop 1 --steps 2",
+        f"command param value {_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC} {_ROUTES} probabilities {_META}",
+        f"command param value {_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC} {_ROUTES} {_P4} {_META}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, json_keys, csv_header", _SCHEMAS, ids=[row[0].split()[0] for row in _SCHEMAS]
+)
+def test_record_schema(capsys, argv, json_keys, csv_header):
+    code, out = _run(capsys, argv.split())
+    assert code == EXIT_OK
+    assert {" ".join(record) for record in _json_lines(out)} == {json_keys}
+    code, out = _run(capsys, argv.split() + ["--format", "csv"])
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == csv_header.replace(" ", ",")
 
 
 class TestExitContract:
