@@ -49,6 +49,11 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
+# Upper bounds on the work one run may ask for: --grid N evaluates N**2
+# (d, f) pairs, --steps one record per step.
+MAX_GRID = 100
+MAX_STEPS = 100_000
+
 # Where each direction that scan can sweep lives in a RunConfig.
 _SWEEP_PATHS = {"a": "label.axis", "c1": "spec.c1", "c2": "spec.c2", "d": "d", "f": "f"}
 _SWEEP_PARAMS = tuple(f"{obj}.{f}" for obj in _SWEEP_PATHS for f in ("theta", "phi"))
@@ -244,11 +249,24 @@ def _load_config_file(path: str) -> dict[str, Any]:
     return data
 
 
+def _config_keys(*groups: str) -> set[str]:
+    """Config-file keys of the flags in ``groups``: the flag without its dashes."""
+    return {flag[2:] for group in groups for flag, *_ in _FLAG_GROUPS[group]}
+
+
 def parse_config(argv=None) -> RunConfig:
     """Turn argv (plus an optional config file) into a validated RunConfig."""
     args = _build_parser().parse_args(argv)
     command = args.command
+    groups = _SUBCOMMANDS[command][1]
     file_cfg = _load_config_file(args.config) if args.config else {}
+    known = _config_keys(*_FLAG_GROUPS)
+    unknown = [key for key in file_cfg if key not in known]
+    if unknown:
+        raise UsageError(f"--config: unknown key {unknown[0]!r}")
+    # Keys of flags that only other subcommands take are left unread.
+    own = _config_keys("common", *groups)
+    file_cfg = {key: value for key, value in file_cfg.items() if key in own}
 
     def opt(key: str, fallback=None):
         value = getattr(args, key, None)
@@ -262,7 +280,6 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"{names} required for {command}")
         return values
 
-    groups = _SUBCOMMANDS[command][1]
     output_format = opt("format", "json")
     if output_format not in ("json", "csv"):
         raise UsageError(f"--format: expected json or csv, got {output_format!r}")
@@ -300,6 +317,8 @@ def parse_config(argv=None) -> RunConfig:
         fields["grid"] = _parse_int(opt("grid", 1), "--grid")
         if fields["grid"] < 1:
             raise UsageError("--grid: must be at least 1")
+        if fields["grid"] > MAX_GRID:
+            raise UsageError(f"--grid: must be at most {MAX_GRID}")
 
     if "tol" in groups:
         fields["tolerances"] = _parse_tolerances(opt("tol"), "--tol")
@@ -315,6 +334,8 @@ def parse_config(argv=None) -> RunConfig:
         steps = _parse_int(steps, "--steps")
         if steps < 2:
             raise UsageError("--steps: must be at least 2")
+        if steps > MAX_STEPS:
+            raise UsageError(f"--steps: must be at most {MAX_STEPS}")
         ends = [_parse_angle(start, "--start"), _parse_angle(stop, "--stop")]
         for flag, end in zip(("--start", "--stop"), ends):
             if not math.isfinite(end):
@@ -464,7 +485,10 @@ def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
 
 
 def _cmd_expect(config: RunConfig, timestamp: str):
-    rng = np.random.default_rng(config.seed or 0)
+    seed = 0 if config.seed is None else config.seed
+    if config.grid > 1:  # the record reports the seed the grid is drawn with
+        config = replace(config, seed=seed)
+    rng = np.random.default_rng(seed)
     draw = verify_mod._random_direction
     ds = [config.d] + [draw(rng) for _ in range(config.grid - 1)]
     fs = [config.f] + [draw(rng) for _ in range(config.grid - 1)]

@@ -46,11 +46,17 @@ Z_AXIS = Direction(0.0, 0.0)
 
 
 def angle_between(a: Direction, b: Direction) -> float:
-    """Opening angle between two directions, in [0, pi]."""
-    c = math.cos(a.theta) * math.cos(b.theta) + math.sin(a.theta) * math.sin(
-        b.theta
-    ) * math.cos(a.phi - b.phi)
-    return math.acos(max(-1.0, min(1.0, c)))
+    """Opening angle between two directions, in [0, pi].
+
+    Taken as atan2(|a x b|, a . b), which keeps full relative precision for
+    nearly parallel and nearly opposite directions, where acos of the dot
+    product loses it (Kahan, "How Futile are Mindless Assessments of
+    Roundoff in Floating-Point Computation?", 2006).
+    """
+    ax, ay, az = unit_vector(a)
+    bx, by, bz = unit_vector(b)
+    cross = math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    return math.atan2(cross, ax * bx + ay * by + az * bz)
 
 
 def unit_vector(d: Direction) -> tuple[float, float, float]:

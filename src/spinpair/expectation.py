@@ -7,10 +7,11 @@ route never touches a matrix: it composes the joint amplitude
                 * xi_half(z, c1)[m1, u] * xi_half(z, c2)[m2, v]
 
 squares it into probabilities and averages the outcome value products.  The
-matrix route sandwiches the Kronecker product of the two observable blocks
-between assembled state tensors.  They agree identically, and the matrix
-route is additionally independent of the intermediate directions (d, f) it
-is evaluated in; ``verify_basis_invariance`` measures both facts.
+matrix route sandwiches the two observable blocks, one acting on each
+subsystem index, between assembled state tensors.  They agree identically,
+and the matrix route is additionally independent of the intermediate
+directions (d, f) it is evaluated in; ``verify_basis_invariance`` measures
+both facts.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ def amplitude_psi(
     v: SpinHalfLabel,
 ) -> complex:
     """Joint amplitude for outcomes (u, v) along (c1, c2)."""
-    x1 = xi_half(Z_AXIS, c1)
-    x2 = xi_half(Z_AXIS, c2)
+    x1 = xi_half(Z_AXIS, c1).tolist()
+    x2 = xi_half(Z_AXIS, c2).tolist()
+    i, j = u.index, v.index
     total = 0j
     for m1, m2 in B_INDEX_ORDER:
-        total += chi(label, m1, m2) * x1[m1.index, u.index] * x2[m2.index, v.index]
+        total += chi(label, m1, m2) * x1[m1.index][i] * x2[m2.index][j]
     return total
 
 
@@ -116,9 +118,11 @@ def expectation_matrix(
     The form is mathematically real; if rounding leaves an imaginary part
     above IMAG_TOLERANCE an InternalConsistencyError is raised.
     """
-    psi = assemble_state(label, d, f).tensor
+    # The tensor as a 2x2 matrix Psi[i, j] (first subsystem index major), on
+    # which kron(r1, r2) acts as r1 @ Psi @ r2.T.
+    psi = assemble_state(label, d, f).tensor.reshape(2, 2)
     r1, r2 = operator_pair(spec, d, f)
-    value = complex(np.vdot(psi, np.kron(r1, r2) @ psi))
+    value = complex(np.vdot(psi, r1 @ psi @ r2.T))
     if abs(value.imag) > IMAG_TOLERANCE:
         raise InternalConsistencyError(
             f"expectation value has imaginary part {value.imag!r}"

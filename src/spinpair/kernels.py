@@ -36,9 +36,10 @@ class SpinHalfLabel(Enum):
     PLUS = 0
     MINUS = 1
 
-    @property
-    def index(self) -> int:
-        return self.value
+    def __init__(self, value: int) -> None:
+        # A plain attribute, not a property: the amplitude loops read it on
+        # every term.
+        self.index = value
 
     @property
     def m(self) -> float:
@@ -156,6 +157,16 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     return np.array([-s2 * em, SQRT_HALF * s + 0j, -c2 * ep])
 
 
+# Coupling coefficients of the four total-spin labels (s, M), one row each
+# over the joint projection labels in B_INDEX_ORDER.
+_CG_ROWS = {
+    (1, 1): (1.0, 0.0, 0.0, 0.0),
+    (1, 0): (0.0, SQRT_HALF, SQRT_HALF, 0.0),
+    (1, -1): (0.0, 0.0, 0.0, 1.0),
+    (0, 0): (0.0, SQRT_HALF, -SQRT_HALF, 0.0),
+}
+
+
 def clebsch_gordan_half_half(
     s: int, M: int, m1: SpinHalfLabel, m2: SpinHalfLabel
 ) -> float:
@@ -165,13 +176,10 @@ def clebsch_gordan_half_half(
     triplet states, 1/sqrt(2) for both orderings feeding (1, 0), and
     +-1/sqrt(2) for the singlet, the minus sign on the (minus, plus) slot.
     """
-    if s not in (0, 1) or M not in range(-s, s + 1):
+    row = _CG_ROWS.get((s, M))
+    if row is None:
         raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}")
-    if m1.m + m2.m != M:
-        return 0.0
-    if s == 1:
-        return SQRT_HALF if M == 0 else 1.0
-    return SQRT_HALF if m1 is PLUS else -SQRT_HALF
+    return row[2 * m1.index + m2.index]
 
 
 def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
@@ -188,8 +196,7 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     """
     if label.s == 0:
         return complex(clebsch_gordan_half_half(0, 0, m1, m2))
-    z = zeta_spin1(label.M, label.axis)
     total = 0j
-    for zl, ml in zip(z, _M_SPIN1):
+    for zl, ml in zip(zeta_spin1(label.M, label.axis).tolist(), _M_SPIN1):
         total += zl * clebsch_gordan_half_half(1, ml, m1, m2)
-    return complex(total)
+    return total

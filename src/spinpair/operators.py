@@ -68,7 +68,8 @@ def r_matrix(
     depend on that choice.
     """
     x = xi_half(intermediate, measured)
-    return x.conj() @ np.diag(values.as_array()) @ x.T
+    # Scaling column u of conj(X) by r(u) is conj(X) @ diag(r).
+    return (x.conj() * values.as_array()) @ x.T
 
 
 def spin_projection_operator(intermediate: Direction, measured: Direction) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, chi, eta_from_z
+from .kernels import B_INDEX_ORDER, CompoundLabel, SpinHalfLabel, chi, eta_from_z
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -55,16 +55,25 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
 
     The coefficients are exactly the ``chi`` outputs, the per-subsystem
     vectors exactly the ``eta_from_z`` outputs; no rescaling happens here.
+    The tensor is the same sum, term by term in B_INDEX_ORDER, as
+    ``sum of coefficient * np.kron(eta1, eta2)``.
     """
-    terms = []
-    tensor = np.zeros(4, dtype=complex)
-    for m1, m2 in B_INDEX_ORDER:
-        coeff = chi(label, m1, m2)
-        eta1 = eta_from_z(m1, d)
-        eta2 = eta_from_z(m2, f)
-        tensor += coeff * np.kron(eta1, eta2)
-        terms.append(StateTerm(coeff, _readonly(eta1), _readonly(eta2)))
-    return StateAssembly(label, d, f, tuple(terms), _readonly(tensor))
+    # Row m of eta1 (eta2) is eta_from_z(m, d) (eta_from_z(m, f)).
+    eta1 = _readonly(np.array([eta_from_z(m, d) for m in SpinHalfLabel]))
+    eta2 = _readonly(np.array([eta_from_z(m, f) for m in SpinHalfLabel]))
+    terms = tuple(
+        StateTerm(chi(label, m1, m2), eta1[m1.index], eta2[m2.index])
+        for m1, m2 in B_INDEX_ORDER
+    )
+    # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
+    # the kron components both run first index major, so one broadcast outer
+    # product, reshaped, lines the terms up in order.
+    outer = (eta1[:, None, :, None] * eta2[None, :, None, :]).reshape(4, 4)
+    products = np.array([t.coefficient for t in terms])[:, None] * outer
+    # Rows added in order onto zeros (initial=0j), so the tensor is the
+    # docstring's sum bit for bit, signs of zero components included.
+    tensor = products.sum(axis=0, initial=0j)
+    return StateAssembly(label, d, f, terms, _readonly(tensor))
 
 
 def reduce_axis_aligned(
@@ -104,9 +113,5 @@ def gram_matrix(states: Sequence[StateAssembly]) -> np.ndarray:
             raise ValueError(
                 "all states must share the axis and both intermediate directions"
             )
-    n = len(states)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = np.vdot(states[i].tensor, states[j].tensor)
-    return g
+    tensors = np.array([st.tensor for st in states])
+    return tensors.conj() @ tensors.T

@@ -140,14 +140,48 @@ class TestParsing:
             ("expect", b'{"s": 1, "M": 0, "c1": "0,0", "c2": [1e999, 0]}'),
             ("expect", b'{"s": 1, "M": 0, "c1": "0,0", "c2": "0,0", "r1": [1' + b"0" * 400 + b", 1]}"),
             ("expect", b"\xff\xfe"),
+            ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r_1": "2,0"}'),
         ],
-        ids=["tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8"],
+        ids=[
+            "tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8",
+            "unknown-key",
+        ],
     )
     def test_malformed_config_files(self, tmp_path, command, body):
         path = tmp_path / "run.json"
         path.write_bytes(body)
         with pytest.raises(UsageError):
             parse_config([command, "--config", str(path)])
+
+    def test_unknown_config_key_names_the_key(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r_1": "2,0"}))
+        assert main(["expect", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --config: unknown key 'r_1'\n"
+
+    def test_config_keys_of_other_subcommands_are_not_read(self, capsys, tmp_path):
+        # probabilities takes no --r1, so a shared file's r1 is never parsed
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps({"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r1": "x,1"}))
+        assert main(["probabilities", "--config", str(path)]) == EXIT_OK
+        assert main(["expect", "--config", str(path)]) == EXIT_USAGE
+        assert "--r1.plus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 101", "--grid: must be at most 100"),
+            (
+                "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param c2.theta --start 0 --stop 1"
+                " --steps 100001",
+                "--steps: must be at most 100000",
+            ),
+        ],
+    )
+    def test_work_bounds_are_one_line_usage_errors(self, capsys, argv, message):
+        # rejected while parsing, before any pair is drawn or point evaluated
+        assert main(argv.split()) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_help_lists_every_check(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
@@ -189,6 +223,18 @@ class TestCommands:
         assert code == EXIT_OK
         (record,) = _json_lines(out)
         assert record["basis_invariance_residual"] < 1e-10
+
+    def test_expect_grid_reports_the_seed_it_draws_with(self, capsys):
+        argv = "expect --s 1 --M 0 --a 0.4,1.0 --c1 0.3,0.2 --c2 1.2,2.0 --grid 2".split()
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        (record,) = _json_lines(out)
+        assert record["seed"] == 0
+        _, seeded = _run(capsys, argv + ["--seed", "0"])
+        assert _strip_timestamps(out) == _strip_timestamps(seeded)
+        # --grid 1 draws nothing, so there is no seed to report
+        _, single = _run(capsys, argv[:-1] + ["1"])
+        assert _json_lines(single)[0]["seed"] is None
 
     def test_probabilities_roundtrip_csv(self, capsys):
         code, out = _run(

@@ -80,3 +80,16 @@ class TestAngleBetween:
         dot = sum(x * y for x, y in zip(unit_vector(a), unit_vector(b)))
         want = math.acos(max(-1.0, min(1.0, dot)))
         assert angle_between(a, b) == pytest.approx(want, abs=1e-7)
+
+    # acos of the dot product returns 0.0 and pi for these two pairs
+    def test_nearly_parallel_pair_keeps_relative_precision(self):
+        a = Direction(1.0, 0.5)
+        b = Direction(1.0 + 1e-9, 0.5)
+        assert angle_between(a, b) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_nearly_opposite_pair_keeps_relative_precision(self):
+        # b is 1e-9 short of the antipode (pi - 1.0, 0.5 + pi) of a; rounding
+        # pi to a double alone moves the deficit by about 2.4e-16
+        a = Direction(1.0, 0.5)
+        b = Direction(math.pi - 1.0 + 1e-9, 0.5 + math.pi)
+        assert math.pi - angle_between(a, b) == pytest.approx(1e-9, rel=1e-6)
