@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -284,10 +285,11 @@ def parse_config(argv=None) -> RunConfig:
     if output_format not in ("json", "csv"):
         raise UsageError(f"--format: expected json or csv, got {output_format!r}")
     seed = opt("seed")
-    fields: dict[str, Any] = {
-        "output_format": output_format,
-        "seed": None if seed is None else _parse_int(seed, "--seed"),
-    }
+    if seed is not None:
+        seed = _parse_int(seed, "--seed")
+        if seed < 0:
+            raise UsageError("--seed: must be non-negative")
+    fields: dict[str, Any] = {"output_format": output_format, "seed": seed}
 
     if "label" in groups:
         (s,), (M,) = required("s"), required("M")
@@ -489,9 +491,9 @@ def _cmd_expect(config: RunConfig, timestamp: str):
     if config.grid > 1:  # the record reports the seed the grid is drawn with
         config = replace(config, seed=seed)
     rng = np.random.default_rng(seed)
-    draw = verify_mod._random_direction
-    ds = [config.d] + [draw(rng) for _ in range(config.grid - 1)]
-    fs = [config.f] + [draw(rng) for _ in range(config.grid - 1)]
+    draw, n = verify_mod._draw, config.grid - 1
+    ds = [config.d] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
+    fs = [config.f] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
     results = _correlation(config, [(d, f) for d in ds for f in fs])
     return [_record(config, timestamp, **results)], EXIT_OK
 
@@ -558,8 +560,25 @@ def run(config: RunConfig) -> int:
     """Execute a parsed RunConfig, writing records to stdout."""
     timestamp = datetime.now(timezone.utc).isoformat()
     records, code = _SUBCOMMANDS[config.command][0](config, timestamp)
-    emit_records(records, config.output_format, sys.stdout)
+    _write(records, config.output_format)
     return code
+
+
+def _write(records, output_format: str) -> None:
+    """Emit records to stdout; once the reader has gone, write nothing more."""
+    try:
+        emit_records(records, output_format, sys.stdout)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point its descriptor at
+        # os.devnull so that flush is quiet (as the signal module docs do).
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -577,7 +596,7 @@ def main(argv=None) -> int:
             "detail": str(exc),
             **_metadata(config, datetime.now(timezone.utc).isoformat()),
         }
-        emit_records([record], config.output_format, sys.stdout)
+        _write([record], config.output_format)
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -118,11 +118,21 @@ def expectation_matrix(
     The form is mathematically real; if rounding leaves an imaginary part
     above IMAG_TOLERANCE an InternalConsistencyError is raised.
     """
-    # The tensor as a 2x2 matrix Psi[i, j] (first subsystem index major), on
-    # which kron(r1, r2) acts as r1 @ Psi @ r2.T.
-    psi = assemble_state(label, d, f).tensor.reshape(2, 2)
+    # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
+    # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
+    # vdot(Psi, r1 @ Psi @ r2.T), here on Python complex scalars.
+    p00, p01, p10, p11 = assemble_state(label, d, f).tensor.tolist()
     r1, r2 = operator_pair(spec, d, f)
-    value = complex(np.vdot(psi, r1 @ psi @ r2.T))
+    (a00, a01), (a10, a11) = r1.tolist()
+    (b00, b01), (b10, b11) = r2.tolist()
+    m00, m01 = a00 * p00 + a01 * p10, a00 * p01 + a01 * p11  # r1 @ Psi
+    m10, m11 = a10 * p00 + a11 * p10, a10 * p01 + a11 * p11
+    value = (
+        p00.conjugate() * (m00 * b00 + m01 * b01)
+        + p01.conjugate() * (m00 * b10 + m01 * b11)
+        + p10.conjugate() * (m10 * b00 + m11 * b01)
+        + p11.conjugate() * (m10 * b10 + m11 * b11)
+    )
     if abs(value.imag) > IMAG_TOLERANCE:
         raise InternalConsistencyError(
             f"expectation value has imaginary part {value.imag!r}"

@@ -196,7 +196,20 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     """
     if label.s == 0:
         return complex(clebsch_gordan_half_half(0, 0, m1, m2))
+    return _spin1_chi(zeta_spin1(label.M, label.axis).tolist(), m1, m2)
+
+
+def _spin1_chi(zeta: list[complex], m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
+    """The s = 1 sum of ``chi``, over a ``zeta_spin1`` triple given as a list."""
     total = 0j
-    for zl, ml in zip(zeta_spin1(label.M, label.axis).tolist(), _M_SPIN1):
+    for zl, ml in zip(zeta, _M_SPIN1):
         total += zl * clebsch_gordan_half_half(1, ml, m1, m2)
     return total
+
+
+def _chi_row(label: CompoundLabel) -> list[complex]:
+    """``chi(label, m1, m2)`` over B_INDEX_ORDER, with at most one zeta_spin1 call."""
+    if label.s == 0:
+        return [chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER]
+    zeta = zeta_spin1(label.M, label.axis).tolist()
+    return [_spin1_chi(zeta, m1, m2) for m1, m2 in B_INDEX_ORDER]

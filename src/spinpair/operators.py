@@ -67,9 +67,18 @@ def r_matrix(
     direction-change matrix, so expectation values built from it cannot
     depend on that choice.
     """
-    x = xi_half(intermediate, measured)
-    # Scaling column u of conj(X) by r(u) is conj(X) @ diag(r).
-    return (x.conj() * values.as_array()) @ x.T
+    # conj(X) @ diag(r) @ X.T on Python complex scalars, which beat NumPy's
+    # per-call overhead at this size.
+    (x00, x01), (x10, x11) = xi_half(intermediate, measured).tolist()
+    rp, rm = values.r_plus, values.r_minus
+    y00, y01 = x00.conjugate() * rp, x01.conjugate() * rm
+    y10, y11 = x10.conjugate() * rp, x11.conjugate() * rm
+    return np.array(
+        [
+            [y00 * x00 + y01 * x01, y00 * x10 + y01 * x11],
+            [y10 * x00 + y11 * x01, y10 * x10 + y11 * x11],
+        ]
+    )
 
 
 def spin_projection_operator(intermediate: Direction, measured: Direction) -> np.ndarray:

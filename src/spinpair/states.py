@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, SpinHalfLabel, chi, eta_from_z
+from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, _chi_row, eta_from_z
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -59,11 +59,11 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     ``sum of coefficient * np.kron(eta1, eta2)``.
     """
     # Row m of eta1 (eta2) is eta_from_z(m, d) (eta_from_z(m, f)).
-    eta1 = _readonly(np.array([eta_from_z(m, d) for m in SpinHalfLabel]))
-    eta2 = _readonly(np.array([eta_from_z(m, f) for m in SpinHalfLabel]))
+    eta1 = _readonly(np.array([eta_from_z(PLUS, d), eta_from_z(MINUS, d)]))
+    eta2 = _readonly(np.array([eta_from_z(PLUS, f), eta_from_z(MINUS, f)]))
     terms = tuple(
-        StateTerm(chi(label, m1, m2), eta1[m1.index], eta2[m2.index])
-        for m1, m2 in B_INDEX_ORDER
+        StateTerm(c, eta1[m1.index], eta2[m2.index])
+        for c, (m1, m2) in zip(_chi_row(label), B_INDEX_ORDER)
     )
     # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
     # the kron components both run first index major, so one broadcast outer

@@ -1,7 +1,8 @@
 """Self-verification sweeps behind the command line ``verify`` entry point.
 
-Each check draws its samples from a shared seeded generator, records the
-worst residual it saw and passes when that residual is within tolerance.
+Each check draws its samples from a shared seeded generator, in one block
+where it can, calls the library once per sample, reduces the residuals over
+all samples as arrays and passes when the worst is within tolerance.
 Kernel and engine functions are looked up through their modules at call
 time, so a harness that swaps one out (to confirm the suite notices) does
 not need to reload anything.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -54,74 +56,82 @@ class CheckResult:
     passed: bool
 
 
-def _result(name: str, samples: int, worst: float, tol: float) -> CheckResult:
-    worst = float(worst)
+def _result(name: str, samples: int, residuals, tol: float) -> CheckResult:
+    """The check's result; ``residuals`` (a number or an array) count by magnitude."""
+    worst = float(np.max(np.abs(residuals)))
     return CheckResult(name, samples, worst, tol, bool(worst <= tol))
 
 
-def _random_direction(rng: np.random.Generator) -> Direction:
-    return Direction(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+# A _draw field is _DIRECTION, drawn as theta on [0, pi) then phi on
+# [0, 2 pi), or the (low, high) range of one number.
+_DIRECTION = "direction"
+_ANGLES = ((0.0, math.pi), (0.0, 2.0 * math.pi))
+_VALUE = (-3.0, 3.0)
+_LABELS = ((1, 1), (1, 0), (1, -1), (0, 0))
+
+
+def _draw(rng: np.random.Generator, n: int, fields) -> Iterator[list]:
+    """``n`` rows of random ``fields``, built as they are iterated.
+
+    The numbers come from one ``rng.random`` block drawn before this returns.
+    Read in order they are exactly those of one ``rng.uniform(low, high)``
+    call per column, as ``uniform`` computes ``low + (high - low) * u``.
+    """
+    ranges = [r for f in fields for r in (_ANGLES if f == _DIRECTION else (f,))]
+    low, high = np.array(ranges).T
+    numbers = iter((low + (high - low) * rng.random((n, len(ranges)))).ravel().tolist())
+
+    def field(f):
+        return Direction(next(numbers), next(numbers)) if f == _DIRECTION else next(numbers)
+
+    return ([field(f) for f in fields] for _ in range(n))
 
 
 def _four_labels(axis: Direction) -> list[CompoundLabel]:
-    return [
-        CompoundLabel(1, 1, axis),
-        CompoundLabel(1, 0, axis),
-        CompoundLabel(1, -1, axis),
-        CompoundLabel(0, 0, axis),
-    ]
+    return [CompoundLabel(s, M, axis) for s, M in _LABELS]
 
 
-def _random_spec(rng: np.random.Generator) -> MeasurementSpec:
-    return MeasurementSpec(
-        _random_direction(rng),
-        _random_direction(rng),
-        OutcomeValues(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
-        OutcomeValues(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
-    )
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _norm_gaps(a: np.ndarray) -> np.ndarray:
+    """Squared norm minus 1 of each row of ``a``."""
+    return np.sum(np.abs(a) ** 2, axis=-1) - 1.0
 
 
 # ---------------------------------------------------------------------------
 # kernel identities
+#
+# These 1000-sample checks stack their outputs with np.fromiter, which
+# keeps no list of per-sample arrays alive.
 
 
 def _check_kernel_unitarity(rng, tol, samples=1000):
-    worst = 0.0
-    eye = np.eye(2)
-    for _ in range(samples):
-        x = kernels.xi_half(_random_direction(rng), _random_direction(rng))
-        worst = max(worst, np.max(np.abs(x @ x.conj().T - eye)))
-    return _result("kernel_unitarity", samples, worst, tol)
+    rows = _draw(rng, samples, 2 * [_DIRECTION])
+    x = np.fromiter((kernels.xi_half(i, f) for i, f in rows), (complex, (2, 2)), samples)
+    return _result("kernel_unitarity", samples, x @ _dagger(x) - np.eye(2), tol)
 
 
 def _check_kernel_hermiticity(rng, tol, samples=1000):
-    worst = 0.0
-    for _ in range(samples):
-        i, f = _random_direction(rng), _random_direction(rng)
-        worst = max(
-            worst, np.max(np.abs(kernels.xi_half(f, i) - kernels.xi_half(i, f).conj().T))
-        )
-    return _result("kernel_hermiticity", samples, worst, tol)
+    rows = _draw(rng, samples, 2 * [_DIRECTION])
+    pairs = ((kernels.xi_half(f, i), kernels.xi_half(i, f)) for i, f in rows)
+    x = np.fromiter(pairs, (complex, (2, 2, 2)), samples)
+    return _result("kernel_hermiticity", samples, x[:, 0] - _dagger(x[:, 1]), tol)
 
 
 def _check_kernel_composition(rng, tol, samples=1000):
-    worst = 0.0
-    for _ in range(samples):
-        a, b, c = (_random_direction(rng) for _ in range(3))
-        direct = kernels.xi_half(a, c)
-        chained = kernels.xi_half(a, b) @ kernels.xi_half(b, c)
-        worst = max(worst, np.max(np.abs(direct - chained)))
-    return _result("kernel_composition", samples, worst, tol)
+    rows = _draw(rng, samples, 3 * [_DIRECTION])
+    triples = ([kernels.xi_half(*p) for p in ((a, c), (a, b), (b, c))] for a, b, c in rows)
+    x = np.fromiter(triples, (complex, (3, 2, 2)), samples)
+    return _result("kernel_composition", samples, x[:, 0] - x[:, 1] @ x[:, 2], tol)
 
 
 def _check_zeta_normalization(rng, tol, samples=100):
-    worst = 0.0
-    for _ in range(samples):
-        a = _random_direction(rng)
-        for m in (1, 0, -1):
-            z = kernels.zeta_spin1(m, a)
-            worst = max(worst, abs(np.sum(np.abs(z) ** 2) - 1.0))
-    return _result("zeta_normalization", 3 * samples, worst, tol)
+    rows = _draw(rng, samples, [_DIRECTION])
+    z = np.array([kernels.zeta_spin1(m, a) for (a,) in rows for m in (1, 0, -1)])
+    return _result("zeta_normalization", 3 * samples, _norm_gaps(z), tol)
 
 
 def _check_clebsch_gordan_table(rng, tol, samples=16):
@@ -144,30 +154,25 @@ def _check_clebsch_gordan_table(rng, tol, samples=16):
         (0, 0, MINUS, PLUS, -SQRT_HALF),
         (0, 0, MINUS, MINUS, 0.0),
     ]
-    worst = max(abs(cg(s, M, m1, m2) - want) for s, M, m1, m2, want in expected)
-    return _result("clebsch_gordan_table", len(expected), worst, tol)
+    gaps = [cg(s, M, m1, m2) - want for s, M, m1, m2, want in expected]
+    return _result("clebsch_gordan_table", len(expected), gaps, tol)
 
 
 def _check_clebsch_gordan_orthonormality(rng, tol, samples=1):
     rows = []
-    for s, M in ((1, 1), (1, 0), (1, -1), (0, 0)):
+    for s, M in _LABELS:
         rows.append(
             [kernels.clebsch_gordan_half_half(s, M, m1, m2) for m1, m2 in B_INDEX_ORDER]
         )
     t = np.array(rows)
-    worst = np.max(np.abs(t @ t.T - np.eye(4)))
-    return _result("clebsch_gordan_orthonormality", samples, worst, tol)
+    return _result("clebsch_gordan_orthonormality", samples, t @ t.T - np.eye(4), tol)
 
 
 def _check_chi_completeness(rng, tol, samples=100):
-    worst = 0.0
-    for _ in range(samples):
-        for label in _four_labels(_random_direction(rng)):
-            total = sum(
-                abs(kernels.chi(label, m1, m2)) ** 2 for m1, m2 in B_INDEX_ORDER
-            )
-            worst = max(worst, abs(total - 1.0))
-    return _result("chi_completeness", 4 * samples, worst, tol)
+    rows = _draw(rng, samples, [_DIRECTION])
+    labels = [label for (axis,) in rows for label in _four_labels(axis)]
+    c = np.array([[kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in labels])
+    return _result("chi_completeness", 4 * samples, _norm_gaps(c), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -175,81 +180,71 @@ def _check_chi_completeness(rng, tol, samples=100):
 
 
 def _check_state_normalization(rng, tol, samples=100):
-    worst = 0.0
-    for _ in range(samples):
-        d, f = _random_direction(rng), _random_direction(rng)
-        for label in _four_labels(_random_direction(rng)):
-            t = states.assemble_state(label, d, f).tensor
-            worst = max(worst, abs(np.vdot(t, t).real - 1.0))
-    return _result("state_normalization", 4 * samples, worst, tol)
+    t = np.array(
+        [
+            states.assemble_state(label, d, f).tensor
+            for d, f, axis in _draw(rng, samples, 3 * [_DIRECTION])
+            for label in _four_labels(axis)
+        ]
+    )
+    return _result("state_normalization", 4 * samples, _norm_gaps(t), tol)
 
 
 def _check_state_orthonormality(rng, tol, samples=100):
-    worst = 0.0
-    eye = np.eye(4)
-    for _ in range(samples):
-        axis, d, f = (_random_direction(rng) for _ in range(3))
-        four = [states.assemble_state(lb, d, f) for lb in _four_labels(axis)]
-        worst = max(worst, np.max(np.abs(states.gram_matrix(four) - eye)))
-    return _result("state_orthonormality", samples, worst, tol)
+    g = np.array(
+        [
+            states.gram_matrix([states.assemble_state(lb, d, f) for lb in _four_labels(a)])
+            for a, d, f in _draw(rng, samples, 3 * [_DIRECTION])
+        ]
+    )
+    return _result("state_orthonormality", samples, g - np.eye(4), tol)
 
 
-_STANDARD_TENSORS = (
-    np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
-    np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0], dtype=complex),
-    np.array([0.0, 0.0, 0.0, -1.0], dtype=complex),
-    np.array([0.0, SQRT_HALF, -SQRT_HALF, 0.0], dtype=complex),
+# The z-axis states (1, 1), (1, 0), (1, -1), (0, 0), one row each over
+# B_INDEX_ORDER: their tensors in the z basis and their coefficients.
+_STANDARD_PATTERNS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
+    ]
 )
 
 
 def _check_standard_form_states(rng, tol, samples=4):
-    worst = 0.0
-    for label, want in zip(_four_labels(Z_AXIS), _STANDARD_TENSORS):
-        got = states.assemble_state(label, Z_AXIS, Z_AXIS).tensor
-        worst = max(worst, np.max(np.abs(got - want)))
-    return _result("standard_form_states", samples, worst, tol)
+    labels = _four_labels(Z_AXIS)
+    got = np.array([states.assemble_state(lb, Z_AXIS, Z_AXIS).tensor for lb in labels])
+    return _result("standard_form_states", samples, got - _STANDARD_PATTERNS, tol)
 
 
 def _check_standard_form_operators(rng, tol, samples=200):
-    worst = 0.0
     values = OutcomeValues(1.0, -1.0)
-    for _ in range(samples):
-        c = _random_direction(rng)
-        want = np.array(
-            [
-                [math.cos(c.theta), math.sin(c.theta) * np.exp(-1j * c.phi)],
-                [math.sin(c.theta) * np.exp(1j * c.phi), -math.cos(c.theta)],
-            ]
-        )
-        got = operators.r_matrix(Z_AXIS, c, values)
-        worst = max(worst, np.max(np.abs(got - want)))
-    return _result("standard_form_operators", samples, worst, tol)
+    cs = [c for (c,) in _draw(rng, samples, [_DIRECTION])]
+    got = np.array([operators.r_matrix(Z_AXIS, c, values) for c in cs])
+    theta, phi = np.array([(c.theta, c.phi) for c in cs]).T
+    cos, sin = np.cos(theta), np.sin(theta)
+    want = np.array([[cos, sin * np.exp(-1j * phi)], [sin * np.exp(1j * phi), -cos]])
+    return _result("standard_form_operators", samples, got - want.transpose(2, 0, 1), tol)
 
 
 def _check_axis_aligned_states(rng, tol, samples=100):
-    coeff_patterns = (
-        np.array([1.0, 0.0, 0.0, 0.0]),
-        np.array([0.0, SQRT_HALF, SQRT_HALF, 0.0]),
-        np.array([0.0, 0.0, 0.0, -1.0]),
-        np.array([0.0, SQRT_HALF, -SQRT_HALF, 0.0]),
-    )
-    worst = 0.0
-    for _ in range(samples):
-        d, f = _random_direction(rng), _random_direction(rng)
-        etas = {
-            (k, m): kernels.eta_from_z(m, dir_)
-            for k, dir_ in (("d", d), ("f", f))
-            for m in (PLUS, MINUS)
-        }
-        for label, pattern in zip(_four_labels(Z_AXIS), coeff_patterns):
+    etas, coeffs, tensors = [], [], []
+    for d, f in _draw(rng, samples, 2 * [_DIRECTION]):
+        etas.append([[kernels.eta_from_z(m, x) for m in (PLUS, MINUS)] for x in (d, f)])
+        for label in _four_labels(Z_AXIS):
             asm = states.reduce_axis_aligned(label, d, f)
-            coeffs = np.array([t.coefficient for t in asm.terms])
-            worst = max(worst, np.max(np.abs(coeffs - pattern)))
-            want = np.zeros(4, dtype=complex)
-            for c, (m1, m2) in zip(pattern, B_INDEX_ORDER):
-                want += c * np.kron(etas[("d", m1)], etas[("f", m2)])
-            worst = max(worst, np.max(np.abs(asm.tensor - want)))
-    return _result("axis_aligned_states", 4 * samples, worst, tol)
+            coeffs.append([t.coefficient for t in asm.terms])
+            tensors.append(asm.tensor)
+    # outer[n, (m1, m2)] = eta_d(m1) (x) eta_f(m2), the kron product of the
+    # two rows; each label's reference tensor weighs them with its pattern.
+    etas = np.array(etas)
+    outer = (etas[:, 0, :, None, :, None] * etas[:, 1, None, :, None, :]).reshape(-1, 4, 4)
+    gaps = [
+        np.reshape(coeffs, (-1, 4, 4)) - _STANDARD_PATTERNS,
+        np.reshape(tensors, (-1, 4, 4)) - _STANDARD_PATTERNS @ outer,
+    ]
+    return _result("axis_aligned_states", 4 * samples, gaps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -257,110 +252,103 @@ def _check_axis_aligned_states(rng, tol, samples=100):
 
 
 def _check_operator_hermiticity(rng, tol, samples=300):
-    worst = 0.0
-    for _ in range(samples):
-        r = operators.r_matrix(
-            _random_direction(rng),
-            _random_direction(rng),
-            OutcomeValues(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
-        )
-        worst = max(worst, np.max(np.abs(r - r.conj().T)))
-    return _result("operator_hermiticity", samples, worst, tol)
+    rows = _draw(rng, samples, 2 * [_DIRECTION] + 2 * [_VALUE])
+    r = np.array([operators.r_matrix(i, c, OutcomeValues(p, m)) for i, c, p, m in rows])
+    return _result("operator_hermiticity", samples, r - _dagger(r), tol)
 
 
 def _check_operator_spectrum(rng, tol, samples=300):
-    worst = 0.0
-    for _ in range(samples):
-        values = OutcomeValues(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        r = operators.r_matrix(_random_direction(rng), _random_direction(rng), values)
-        eig = np.sort(np.linalg.eigvalsh(r))
-        want = np.sort(values.as_array())
-        worst = max(worst, np.max(np.abs(eig - want)))
-    return _result("operator_spectrum", samples, worst, tol)
+    r, want = [], []
+    for p, m, i, c in _draw(rng, samples, 2 * [_VALUE] + 2 * [_DIRECTION]):
+        r.append(operators.r_matrix(i, c, OutcomeValues(p, m)))
+        want.append(sorted((p, m)))
+    return _result("operator_spectrum", samples, np.linalg.eigvalsh(r) - want, tol)
 
 
 def _check_operator_covariance(rng, tol, samples=300):
     # Rebasing the block from intermediate d1 to d2 conjugates it by the
     # complex conjugate of the direction-change matrix between them.
-    worst = 0.0
-    for _ in range(samples):
-        d1, d2, c = (_random_direction(rng) for _ in range(3))
-        values = OutcomeValues(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        r1 = operators.r_matrix(d1, c, values)
-        r2 = operators.r_matrix(d2, c, values)
-        v = kernels.xi_half(d2, d1).conj()
-        worst = max(worst, np.max(np.abs(r2 - v @ r1 @ v.conj().T)))
-    return _result("operator_covariance", samples, worst, tol)
+    blocks = []
+    for d1, d2, c, p, m in _draw(rng, samples, 3 * [_DIRECTION] + 2 * [_VALUE]):
+        values = OutcomeValues(p, m)
+        r1, r2 = operators.r_matrix(d1, c, values), operators.r_matrix(d2, c, values)
+        blocks.append((r1, r2, kernels.xi_half(d2, d1).conj()))
+    r1, r2, v = np.array(blocks).swapaxes(0, 1)
+    return _result("operator_covariance", samples, r2 - v @ r1 @ _dagger(v), tol)
 
 
 # ---------------------------------------------------------------------------
 # expectation engine
 
 
+def _random_problem(rng, k: int):
+    """A random label and spec (values on [-2, 2)) and ``k`` more directions.
+
+    (s, M) comes from ``rng.integers``, whose draws interleave with the
+    uniform ones, so these checks draw one sample at a time.
+    """
+    s, M = _LABELS[rng.integers(0, 4)]
+    fields = 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION]
+    ((axis, c1, c2, p1, m1, p2, m2, *dirs),) = _draw(rng, 1, fields)
+    spec = MeasurementSpec(c1, c2, OutcomeValues(p1, m1), OutcomeValues(p2, m2))
+    return CompoundLabel(s, M, axis), spec, dirs
+
+
 def _check_oracle_equivalence(rng, tol, samples=1000):
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
-        s, M = ((1, 1), (1, 0), (1, -1), (0, 0))[rng.integers(0, 4)]
-        label = CompoundLabel(s, M, _random_direction(rng))
-        spec = _random_spec(rng)
-        d, f = _random_direction(rng), _random_direction(rng)
+        label, spec, (d, f) = _random_problem(rng, 2)
         matrix = expectation.expectation_matrix(label, spec, d, f)
-        oracle = expectation.expectation_oracle(label, spec)
-        worst = max(worst, abs(matrix - oracle))
-    return _result("oracle_equivalence", samples, worst, tol)
+        gaps.append(matrix - expectation.expectation_oracle(label, spec))
+    return _result("oracle_equivalence", samples, gaps, tol)
 
 
 def _check_basis_invariance(rng, tol, samples=100):
-    worst = 0.0
+    spreads = []
     for _ in range(samples):
-        s, M = ((1, 1), (1, 0), (1, -1), (0, 0))[rng.integers(0, 4)]
-        label = CompoundLabel(s, M, _random_direction(rng))
-        spec = _random_spec(rng)
-        ds = [_random_direction(rng) for _ in range(5)]
-        fs = [_random_direction(rng) for _ in range(5)]
-        report = expectation.verify_basis_invariance(label, spec, product(ds, fs))
-        worst = max(worst, report.basis_invariance_residual)
-    return _result("basis_invariance", samples, worst, tol)
+        label, spec, dirs = _random_problem(rng, 10)
+        grid = product(dirs[:5], dirs[5:])
+        report = expectation.verify_basis_invariance(label, spec, grid)
+        spreads.append(report.basis_invariance_residual)
+    return _result("basis_invariance", samples, spreads, tol)
 
 
 def _check_probability_completeness(rng, tol, samples=100):
-    worst = 0.0
-    for _ in range(samples):
-        c1, c2 = _random_direction(rng), _random_direction(rng)
-        for label in _four_labels(_random_direction(rng)):
-            p = expectation.outcome_probabilities(label, c1, c2)
-            worst = max(worst, abs(float(np.sum(p)) - 1.0))
-            worst = max(worst, max(0.0, float(np.max(p)) - 1.0))
-            worst = max(worst, max(0.0, -float(np.min(p))))
-    return _result("probability_completeness", 4 * samples, worst, tol)
+    p = np.array(
+        [
+            expectation.outcome_probabilities(label, c1, c2)
+            for c1, c2, axis in _draw(rng, samples, 3 * [_DIRECTION])
+            for label in _four_labels(axis)
+        ]
+    )
+    # each quadruple's sum off 1, and each probability's distance from [0, 1]
+    gaps = np.hstack([p.sum(axis=1, keepdims=True) - 1.0, p - np.clip(p, 0.0, 1.0)])
+    return _result("probability_completeness", 4 * samples, gaps, tol)
 
 
 def _check_singlet_cosine_law(rng, tol, samples=181):
-    worst = 0.0
     label = CompoundLabel(0, 0, Z_AXIS)
     vals = OutcomeValues(1.0, -1.0)
-    for theta in np.linspace(0.0, math.pi, samples):
-        c1 = Z_AXIS
-        c2 = Direction(float(theta), 0.0)
-        spec = MeasurementSpec(c1, c2, vals, vals)
-        d, f = _random_direction(rng), _random_direction(rng)
-        want = -math.cos(angle_between(c1, c2))
-        worst = max(worst, abs(expectation.expectation_matrix(label, spec, d, f) - want))
-        worst = max(worst, abs(expectation.expectation_oracle(label, spec) - want))
-    return _result("singlet_cosine_law", samples, worst, tol)
+    thetas = np.linspace(0.0, math.pi, samples).tolist()
+    values = []
+    for theta, (d, f) in zip(thetas, _draw(rng, samples, 2 * [_DIRECTION])):
+        c2 = Direction(theta, 0.0)
+        spec = MeasurementSpec(Z_AXIS, c2, vals, vals)
+        want = -math.cos(angle_between(Z_AXIS, c2))
+        matrix = expectation.expectation_matrix(label, spec, d, f)
+        values.append((matrix - want, expectation.expectation_oracle(label, spec) - want))
+    return _result("singlet_cosine_law", samples, values, tol)
 
 
 def _check_singlet_rotation_invariance(rng, tol, samples=100):
-    worst = 0.0
-    for _ in range(samples):
-        c1, c2 = _random_direction(rng), _random_direction(rng)
-        delta = rng.uniform(0.0, 2.0 * math.pi)
+    gaps = []
+    for c1, c2, delta in _draw(rng, samples, 2 * [_DIRECTION] + [_ANGLES[1]]):
         base = expectation.singlet_expectation(c1, c2)
         turned = expectation.singlet_expectation(
             Direction(c1.theta, c1.phi + delta), Direction(c2.theta, c2.phi + delta)
         )
-        worst = max(worst, abs(base - turned))
-    return _result("singlet_rotation_invariance", samples, worst, tol)
+        gaps.append(base - turned)
+    return _result("singlet_rotation_invariance", samples, gaps, tol)
 
 
 def _check_chsh_extremum(rng, tol, samples=1):
@@ -372,8 +360,7 @@ def _check_chsh_extremum(rng, tol, samples=1):
         Direction(math.pi / 4, 0.0),
         Direction(3.0 * math.pi / 4, 0.0),
     )
-    worst = abs(abs(s) - 2.0 * math.sqrt(2.0))
-    return _result("chsh_extremum", samples, worst, tol)
+    return _result("chsh_extremum", samples, abs(s) - 2.0 * math.sqrt(2.0), tol)
 
 
 _CHECKS = (

@@ -107,6 +107,9 @@ class TestParsing:
             "verify --tol kernel_unitarity=nan",
             "verify --tol kernel_unitarity=0",
             "verify --tol kernel_unitarity=-1",
+            "verify --seed -1",
+            "expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 2 --seed -5",
+            "state --s 0 --M 0 --seed -3",
         ],
     )
     def test_malformed_invocations(self, argv):
@@ -141,10 +144,12 @@ class TestParsing:
             ("expect", b'{"s": 1, "M": 0, "c1": "0,0", "c2": "0,0", "r1": [1' + b"0" * 400 + b", 1]}"),
             ("expect", b"\xff\xfe"),
             ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r_1": "2,0"}'),
+            ("verify", b'{"seed": -1}'),
+            ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "grid": 2, "seed": -5}'),
         ],
         ids=[
             "tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8",
-            "unknown-key",
+            "unknown-key", "seed-negative-verify", "seed-negative-expect",
         ],
     )
     def test_malformed_config_files(self, tmp_path, command, body):
@@ -182,6 +187,26 @@ class TestParsing:
         # rejected while parsing, before any pair is drawn or point evaluated
         assert main(argv.split()) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "state --s 0 --M 0",
+            "operator --c1 0,0 --c2 1,0",
+            "probabilities --s 0 --M 0 --c1 0,0 --c2 1,0",
+            "expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 2",
+            "verify",
+            "scan --s 0 --M 0 --c1 0,0 --c2 0,0 --param c2.theta --start 0 --stop 1 --steps 3",
+        ],
+    )
+    def test_negative_seed_is_a_one_line_usage_error(self, capsys, tmp_path, argv):
+        # rejected while parsing, from a flag and from a config file alike
+        assert main(argv.split() + ["--seed", "-2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed: must be non-negative\n"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": -2}))
+        assert main(argv.split() + ["--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed: must be non-negative\n"
 
     def test_verify_help_lists_every_check(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
@@ -403,6 +428,19 @@ class TestExitContract:
         (record,) = _json_lines(captured.out)
         assert record["error"] == "internal-consistency"
 
+    def test_closed_stdout_ends_quietly_with_the_computed_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main("expect --s 0 --M 0 --c1 0,0 --c2 1,0".split()) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_keeps_the_verify_failure_code(self, capsys, monkeypatch):
+        # every record is built before the first write fails
+        true_kernel = kernels_mod.xi_half
+        monkeypatch.setattr(kernels_mod, "xi_half", lambda i, f: 2.0 * true_kernel(i, f))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["verify", "--seed", "3"]) == EXIT_VERIFY
+        assert "FAILED: kernel_unitarity" in capsys.readouterr().err
+
     def test_identical_seeds_give_identical_payloads(self, capsys):
         _, first = _run(capsys, ["verify", "--seed", "7"])
         _, second = _run(capsys, ["verify", "--seed", "7"])
@@ -415,6 +453,13 @@ class TestExitContract:
         _, first = _run(capsys, argv)
         _, second = _run(capsys, argv)
         assert _strip_timestamps(first) == _strip_timestamps(second)
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
 
 class TestSubprocess:
@@ -434,3 +479,16 @@ class TestSubprocess:
             text=True,
         )
         assert proc.returncode == 1
+
+    def test_closed_pipe_prints_no_traceback(self):
+        argv = "scan --s 1 --M 0 --c1 0,0 --c2 1,0 --param c2.theta --start 0 --stop 3"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinpair", *argv.split(), "--steps", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader leaves before the first record
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_OK
+        assert err == b""

@@ -50,10 +50,12 @@ class TestAssembleState:
         assert abs(np.vdot(t, t).real - 1.0) < STATE_TOL
 
     def test_coefficients_are_exactly_chi(self, rng):
-        label = CompoundLabel(1, 0, draw_direction(rng))
-        asm = assemble_state(label, draw_direction(rng), draw_direction(rng))
-        for term, (m1, m2) in zip(asm.terms, B_INDEX_ORDER):
-            assert term.coefficient == chi(label, m1, m2)
+        for _ in range(20):
+            d, f = draw_direction(rng), draw_direction(rng)
+            for label in four_labels(draw_direction(rng)):
+                asm = assemble_state(label, d, f)
+                for term, (m1, m2) in zip(asm.terms, B_INDEX_ORDER):
+                    assert term.coefficient == chi(label, m1, m2)
 
     def test_tensor_is_the_sum_of_its_terms(self, rng):
         label = CompoundLabel(1, -1, draw_direction(rng))
