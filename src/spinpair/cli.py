@@ -27,6 +27,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -103,6 +104,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts "-" then a digit, or "-." then a digit, is a
+        # value, as from Python 3.13 on; earlier versions take only -N and
+        # -N.N, so "--c1 -0.5,0" and "--start -1e-3" lacked their argument.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -304,12 +312,23 @@ def parse_config(argv=None) -> RunConfig:
 
     if "meas" in groups:
         c1, c2 = required("c1", "c2")
-        fields["spec"] = MeasurementSpec(
+        fields["spec"] = spec = MeasurementSpec(
             _parse_pair(c1, "--c1", Direction),
             _parse_pair(c2, "--c2", Direction),
             _parse_pair(opt("r1", "1,-1"), "--r1", OutcomeValues),
             _parse_pair(opt("r2", "1,-1"), "--r2", OutcomeValues),
         )
+        if "label" in groups and "values" in groups:
+            # expect and scan average the products r1(u) * r2(v); one that
+            # overflows would print NaN or Infinity, which is not JSON.
+            r1, r2 = spec.values1, spec.values2
+            big1 = max(abs(r1.r_plus), abs(r1.r_minus))
+            big2 = max(abs(r2.r_plus), abs(r2.r_minus))
+            if not math.isfinite(big1 * big2):
+                raise UsageError(
+                    f"--r1, --r2: products of outcome values must be finite, "
+                    f"got {big1!r} * {big2!r}"
+                )
 
     if "df" in groups:
         fields["d"] = _parse_pair(opt("d", "0,0"), "--d", Direction)

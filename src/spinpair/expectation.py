@@ -29,7 +29,7 @@ from .operators import (
     SPIN_PROJECTION_VALUES,
     operator_pair,
 )
-from .states import assemble_state
+from .states import _tensor
 
 # Largest imaginary part tolerated when a mathematically real quadratic form
 # is evaluated in floating point.
@@ -121,7 +121,7 @@ def expectation_matrix(
     # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
     # vdot(Psi, r1 @ Psi @ r2.T), here on Python complex scalars.
-    p00, p01, p10, p11 = assemble_state(label, d, f).tensor.tolist()
+    p00, p01, p10, p11 = _tensor(label, d, f)[0].tolist()
     r1, r2 = operator_pair(spec, d, f)
     (a00, a01), (a10, a11) = r1.tolist()
     (b00, b01), (b10, b11) = r2.tolist()

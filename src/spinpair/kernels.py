@@ -124,12 +124,15 @@ def eta_from_z(m: SpinHalfLabel, final: Direction) -> np.ndarray:
     (sin(theta/2), cos(theta/2)) * exp(-i phi) for minus.  Each pair has
     unit norm.
     """
+    return np.array(_eta_rows(final)[m.index])
+
+
+def _eta_rows(final: Direction) -> tuple[list[complex], list[complex]]:
+    """Both ``eta_from_z`` pairs, (plus, minus), as Python complex lists."""
     c = math.cos(final.theta / 2.0)
     s = math.sin(final.theta / 2.0)
-    if m is PLUS:
-        return np.array([c + 0j, -s + 0j])
     w = cmath.exp(-1j * final.phi)
-    return np.array([s * w, c * w])
+    return [c + 0j, -s + 0j], [s * w, c * w]
 
 
 _M_SPIN1 = (1, 0, -1)
@@ -211,5 +214,9 @@ def _chi_row(label: CompoundLabel) -> list[complex]:
     """``chi(label, m1, m2)`` over B_INDEX_ORDER, with at most one zeta_spin1 call."""
     if label.s == 0:
         return [chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER]
-    zeta = zeta_spin1(label.M, label.axis).tolist()
-    return [_spin1_chi(zeta, m1, m2) for m1, m2 in B_INDEX_ORDER]
+    zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
+    # _spin1_chi with the table read directly: column k of the M = +1, 0, -1
+    # rows of _CG_ROWS is slot k of B_INDEX_ORDER, and the terms go onto 0j
+    # in the same order, so each entry is == to chi(label, m1, m2).
+    columns = zip(*(_CG_ROWS[(1, ml)] for ml in _M_SPIN1))
+    return [0j + zp * gp + z0 * g0 + zm * gm for gp, g0, gm in columns]

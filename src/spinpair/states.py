@@ -7,7 +7,8 @@ four Kronecker products, one per pair of projection labels:
 
 where eta1 is taken along the first intermediate direction d and eta2 along
 the second one f.  Components follow B_INDEX_ORDER with the first subsystem
-major.
+major.  ``_tensor`` computes that sum; ``assemble_state`` packages it with
+its terms, and the matrix route of ``expectation`` reads ``_tensor`` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, _chi_row, eta_from_z
+from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, _eta_rows
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -50,29 +51,44 @@ class StateAssembly:
     tensor: np.ndarray
 
 
+def _tensor(
+    label: CompoundLabel, d: Direction, f: Direction
+) -> tuple[np.ndarray, list[complex], np.ndarray, np.ndarray]:
+    """The tensor of the state (s, M) in the (d, f) basis, with its parts.
+
+    Returns (tensor, coefficients, eta1, eta2): the coefficients are the
+    ``chi`` values over B_INDEX_ORDER and row m of eta1 (eta2) is
+    ``eta_from_z(m, d)`` (``eta_from_z(m, f)``).  The tensor is the sum of
+    ``coefficient_k * np.kron(eta1[m1_k], eta2[m2_k])`` term by term in
+    B_INDEX_ORDER.
+    """
+    coefficients = _chi_row(label)
+    eta1 = np.array(_eta_rows(d))
+    eta2 = np.array(_eta_rows(f))
+    # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
+    # the kron components both run first index major, so one broadcast outer
+    # product, reshaped, lines the terms up in order.
+    outer = (eta1[:, None, :, None] * eta2[None, :, None, :]).reshape(4, 4)
+    products = np.array(coefficients)[:, None] * outer
+    # Rows added in order onto zeros (initial=0j), so the tensor is the
+    # docstring's sum bit for bit, signs of zero components included.
+    return products.sum(axis=0, initial=0j), coefficients, eta1, eta2
+
+
 def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAssembly:
     """Build the state (s, M) along ``label.axis`` in the (d, f) product basis.
 
     The coefficients are exactly the ``chi`` outputs, the per-subsystem
     vectors exactly the ``eta_from_z`` outputs; no rescaling happens here.
-    The tensor is the same sum, term by term in B_INDEX_ORDER, as
-    ``sum of coefficient * np.kron(eta1, eta2)``.
+    ``terms`` and ``tensor`` are read-only and hold what ``_tensor`` builds,
+    the tensor being ``sum of coefficient * np.kron(eta1, eta2)``.
     """
-    # Row m of eta1 (eta2) is eta_from_z(m, d) (eta_from_z(m, f)).
-    eta1 = _readonly(np.array([eta_from_z(PLUS, d), eta_from_z(MINUS, d)]))
-    eta2 = _readonly(np.array([eta_from_z(PLUS, f), eta_from_z(MINUS, f)]))
+    tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
+    eta1, eta2 = _readonly(eta1), _readonly(eta2)
     terms = tuple(
         StateTerm(c, eta1[m1.index], eta2[m2.index])
-        for c, (m1, m2) in zip(_chi_row(label), B_INDEX_ORDER)
+        for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
-    # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
-    # the kron components both run first index major, so one broadcast outer
-    # product, reshaped, lines the terms up in order.
-    outer = (eta1[:, None, :, None] * eta2[None, :, None, :]).reshape(4, 4)
-    products = np.array([t.coefficient for t in terms])[:, None] * outer
-    # Rows added in order onto zeros (initial=0j), so the tensor is the
-    # docstring's sum bit for bit, signs of zero components included.
-    tensor = products.sum(axis=0, initial=0j)
     return StateAssembly(label, d, f, terms, _readonly(tensor))
 
 

@@ -7,6 +7,7 @@ import math
 from hypothesis import strategies as st
 
 from spinpair import CompoundLabel, Direction
+from spinpair.verify import _DIRECTION, _draw, _four_labels
 
 ANGLE_SPAN = 8.0 * math.pi
 
@@ -22,13 +23,9 @@ compound_labels = st.builds(
 
 
 def draw_direction(rng) -> Direction:
-    return Direction(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+    """theta on [0, pi) then phi on [0, 2 pi), as verify draws a direction."""
+    ((d,),) = _draw(rng, 1, [_DIRECTION])
+    return d
 
 
-def four_labels(axis: Direction) -> list[CompoundLabel]:
-    return [
-        CompoundLabel(1, 1, axis),
-        CompoundLabel(1, 0, axis),
-        CompoundLabel(1, -1, axis),
-        CompoundLabel(0, 0, axis),
-    ]
+four_labels = _four_labels

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from spinpair.cli import (
 )
 
 _TS = re.compile(r'("timestamp":")[^"]*(")|(?<=,)\d{4}-\d{2}-\d{2}T[^,\n]*')
+
+
+_SCAN_C2 = "scan --s 1 --M 1 --c1 0,0 --c2 0,0 --param c2.theta"
 
 
 def _strip_timestamps(text):
@@ -207,6 +211,48 @@ class TestParsing:
         path.write_text(json.dumps({"seed": -2}))
         assert main(argv.split() + ["--config", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: --seed: must be non-negative\n"
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            ("expect --s 1 --M 0 --c2 1,0", "c1", "-0.5,0"),
+            ("expect --s 1 --M 0 --c1 0,0 --c2 1,0", "r1", "-1,1"),
+            (_SCAN_C2 + " --stop 1 --steps 3", "start", "-1e-3"),
+            (_SCAN_C2 + " --start 0 --steps 3", "stop", "-90deg"),
+        ],
+    )
+    def test_negative_values_parse_from_flags_as_from_a_config_file(
+        self, tmp_path, argv, key, value
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        from_flag = parse_config(argv.split() + [f"--{key}", value])
+        assert from_flag == parse_config(argv.split() + ["--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "argv, r1, r2",
+        [
+            ("expect --s 1 --M 0 --c1 0,0 --c2 1,0", "1e308,-1e308", "1e308,1"),
+            ("expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 3", "1e200,1", "1,1e200"),
+            (_SCAN_C2 + " --start 0 --stop 1 --steps 3", "-1e200,1", "1e200,1"),
+        ],
+    )
+    def test_overflowing_value_products_are_a_one_line_usage_error(
+        self, capsys, tmp_path, argv, r1, r2
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"r1": r1, "r2": r2}))
+        runs = [argv.split() + ["--r1", r1, "--r2", r2], argv.split() + ["--config", str(path)]]
+        for run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(run) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --r1, --r2: ")
+            assert captured.err.count("\n") == 1
+        # the blocks alone hold no product of values
+        assert main(["operator", "--c1", "0,0", "--c2", "1,0", "--r1", r1, "--r2", r2]) == EXIT_OK
 
     def test_verify_help_lists_every_check(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")

@@ -19,15 +19,17 @@ from spinpair import (
     Z_AXIS,
     amplitude_psi,
     angle_between,
+    assemble_state,
     chsh_value,
     expectation_matrix,
     expectation_oracle,
+    operator_pair,
     outcome_probabilities,
     singlet_expectation,
     verify_basis_invariance,
     xi_half,
 )
-from support import compound_labels, directions, draw_direction
+from support import compound_labels, directions, draw_direction, four_labels
 
 SQRT_HALF = math.sqrt(0.5)
 ENGINE_TOL = 1e-10
@@ -46,6 +48,18 @@ def _random_spec(rng):
         OutcomeValues(rng.uniform(-2, 2), rng.uniform(-2, 2)),
         OutcomeValues(rng.uniform(-2, 2), rng.uniform(-2, 2)),
     )
+
+
+def _sandwich(psi, r1, r2):
+    """vdot(Psi, r1 @ Psi @ r2.T) on Python scalars, summed as expectation_matrix sums."""
+    p, a, b = psi.reshape(2, 2).tolist(), r1.tolist(), r2.tolist()
+    m = [[a[i][0] * p[0][j] + a[i][1] * p[1][j] for j in (0, 1)] for i in (0, 1)]
+    terms = [
+        p[i][j].conjugate() * (m[i][0] * b[j][0] + m[i][1] * b[j][1])
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+    return sum(terms[1:], terms[0]).real
 
 
 def _random_label(rng):
@@ -137,6 +151,17 @@ class TestExpectationRoutes:
         for _ in range(25):
             moved = expectation_matrix(label, spec, draw_direction(rng), draw_direction(rng))
             assert abs(moved - base) < ENGINE_TOL
+
+    def test_matrix_route_reads_the_assembled_state(self, rng):
+        # expectation_matrix builds its tensor without assemble_state; equal
+        # values keep the two from drifting apart
+        for _ in range(50):
+            spec = _random_spec(rng)
+            d, f = draw_direction(rng), draw_direction(rng)
+            pair = operator_pair(spec, d, f)
+            for label in four_labels(draw_direction(rng)):
+                want = _sandwich(assemble_state(label, d, f).tensor, *pair)
+                assert expectation_matrix(label, spec, d, f) == want
 
     def test_imaginary_residue_guard(self, rng, monkeypatch):
         # force a non-Hermitian block through the quadratic form; a diagonal
