@@ -229,19 +229,21 @@ def _parse_tolerances(entries, field: str) -> dict[str, float]:
 # argument and config handling
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """Only the subcommand ``argv[0]`` names, with its flags; if it names none,
+    every subcommand without flags, all that top-level help and errors show."""
     parser = _Parser(
         prog="spinpair",
         description="States, observables and correlations of a coupled spin-1/2 pair.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, groups) in _SUBCOMMANDS.items():
+    named = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else []
+    for command in named or _SUBCOMMANDS:
         sub_parser = sub.add_parser(command)
-        for group in ("common",) + groups:
+        for group in (("common",) + _SUBCOMMANDS[command][1]) if named else ():
             for flag, help_text, *kwargs in _FLAG_GROUPS[group]:
-                kwargs = kwargs[0] if kwargs else {}
-                sub_parser.add_argument(flag, help=help_text, **kwargs)
+                sub_parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
     return parser
 
 
@@ -264,8 +266,10 @@ def _config_keys(*groups: str) -> set[str]:
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Turn argv (plus an optional config file) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
+    """Turn argv (default ``sys.argv[1:]``, plus an optional config file) into
+    a validated RunConfig, whose seed is the one the run draws with."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     command = args.command
     groups = _SUBCOMMANDS[command][1]
     file_cfg = _load_config_file(args.config) if args.config else {}
@@ -321,9 +325,7 @@ def parse_config(argv=None) -> RunConfig:
         if "label" in groups and "values" in groups:
             # expect and scan average the products r1(u) * r2(v); one that
             # overflows would print NaN or Infinity, which is not JSON.
-            r1, r2 = spec.values1, spec.values2
-            big1 = max(abs(r1.r_plus), abs(r1.r_minus))
-            big2 = max(abs(r2.r_plus), abs(r2.r_minus))
+            big1, big2 = spec.values1.largest, spec.values2.largest
             if not math.isfinite(big1 * big2):
                 raise UsageError(
                     f"--r1, --r2: products of outcome values must be finite, "
@@ -343,6 +345,9 @@ def parse_config(argv=None) -> RunConfig:
 
     if "tol" in groups:
         fields["tolerances"] = _parse_tolerances(opt("tol"), "--tol")
+
+    if seed is None and (command == "verify" or fields.get("grid", 1) > 1):
+        fields["seed"] = 0  # what they draw with; --grid 1 draws nothing
 
     if "sweep" in groups:
         (param,) = required("param")
@@ -506,10 +511,7 @@ def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
 
 
 def _cmd_expect(config: RunConfig, timestamp: str):
-    seed = 0 if config.seed is None else config.seed
-    if config.grid > 1:  # the record reports the seed the grid is drawn with
-        config = replace(config, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)  # None only for --grid 1: no draws
     draw, n = verify_mod._draw, config.grid - 1
     ds = [config.d] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
     fs = [config.f] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
@@ -518,9 +520,7 @@ def _cmd_expect(config: RunConfig, timestamp: str):
 
 
 def _cmd_verify(config: RunConfig, timestamp: str):
-    seed = 0 if config.seed is None else config.seed
-    results = verify_mod.run_verification(seed, config.tolerances)
-    config = replace(config, seed=seed)
+    results = verify_mod.run_verification(config.seed, config.tolerances)
     records = [
         _record(
             config,
@@ -534,7 +534,7 @@ def _cmd_verify(config: RunConfig, timestamp: str):
         for res in results
     ]
     failed = [r.name for r in results if not r.passed]
-    summary = f"{len(results) - len(failed)}/{len(results)} checks passed (seed={seed})"
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed (seed={config.seed})"
     if failed:
         summary += "; FAILED: " + ", ".join(failed)
     print(summary, file=sys.stderr)

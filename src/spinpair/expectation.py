@@ -32,7 +32,7 @@ from .operators import (
 from .states import _tensor
 
 # Largest imaginary part tolerated when a mathematically real quadratic form
-# is evaluated in floating point.
+# is evaluated in floating point, for outcome values of magnitude up to 1.
 IMAG_TOLERANCE = 1e-12
 
 _PROB_SUM_TOLERANCE = 1e-12
@@ -116,7 +116,8 @@ def expectation_matrix(
     """Expectation value as a quadratic form in the (d, f) product basis.
 
     The form is mathematically real; if rounding leaves an imaginary part
-    above IMAG_TOLERANCE an InternalConsistencyError is raised.
+    above IMAG_TOLERANCE * max(1, max|r1| * max|r2|) an
+    InternalConsistencyError is raised.
     """
     # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
@@ -133,7 +134,13 @@ def expectation_matrix(
         + p10.conjugate() * (m10 * b00 + m11 * b01)
         + p11.conjugate() * (m10 * b10 + m11 * b11)
     )
-    if abs(value.imag) > IMAG_TOLERANCE:
+    # Rounding leaves an imaginary part that grows with the outcome values:
+    # the bound is IMAG_TOLERANCE * max(1, largest value product), and the
+    # product is formed only once the residue passes IMAG_TOLERANCE.
+    imag = abs(value.imag)
+    if imag > IMAG_TOLERANCE and imag > IMAG_TOLERANCE * (
+        spec.values1.largest * spec.values2.largest
+    ):
         raise InternalConsistencyError(
             f"expectation value has imaginary part {value.imag!r}"
         )

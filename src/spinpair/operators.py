@@ -43,6 +43,11 @@ class OutcomeValues:
     def as_array(self) -> np.ndarray:
         return np.array([self.r_plus, self.r_minus])
 
+    @property
+    def largest(self) -> float:
+        """The larger magnitude of the two values."""
+        return max(abs(self.r_plus), abs(self.r_minus))
+
 
 SPIN_PROJECTION_VALUES = OutcomeValues(1.0, -1.0)
 

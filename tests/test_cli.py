@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -28,6 +29,9 @@ _TS = re.compile(r'("timestamp":")[^"]*(")|(?<=,)\d{4}-\d{2}-\d{2}T[^,\n]*')
 
 
 _SCAN_C2 = "scan --s 1 --M 1 --c1 0,0 --c2 0,0 --param c2.theta"
+
+_COMMANDS = ("state", "operator", "probabilities", "expect", "verify", "scan")
+_HELP_PAGES = pathlib.Path(__file__).parent / "help_pages"
 
 
 def _strip_timestamps(text):
@@ -263,8 +267,48 @@ class TestParsing:
         assert not missing
 
     def test_unknown_command_exits_one(self, capsys):
-        assert main(["bogus"]) == EXIT_USAGE
-        assert "bogus" in capsys.readouterr().err
+        # parse_config builds flags only for a named subcommand; the error for
+        # any other word must still list every name
+        assert main(["bogus", "--s", "0"]) == EXIT_USAGE
+        choices = ", ".join(f"'{name}'" for name in _COMMANDS)
+        assert capsys.readouterr().err == (
+            f"error: argument command: invalid choice: 'bogus' (choose from {choices})\n"
+        )
+
+    # The help pages as argparse on Python 3.11 (the CI version) lays them out
+    # at 80 columns; other versions wrap and label them differently.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pages pinned on 3.11")
+    @pytest.mark.parametrize(
+        "argv, page",
+        [(["--help"], "spinpair"), (["-h", "expect"], "spinpair")]
+        + [([name, "--help"], name) for name in _COMMANDS],
+    )
+    def test_help_pages_are_pinned(self, capsys, monkeypatch, argv, page):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out == (_HELP_PAGES / f"{page}.txt").read_text(encoding="utf-8")
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        # the subcommand whose flags get parsed comes from sys.argv too
+        argv = "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2.0 --grid 2 --r1 2,-1".split()
+        code, given = _run(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["spinpair"] + argv)
+        assert main() == code == EXIT_OK
+        assert _strip_timestamps(capsys.readouterr().out) == _strip_timestamps(given)
+        monkeypatch.setattr(sys, "argv", ["spinpair", "verify", "--grid", "2"])
+        assert main() == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unrecognized arguments: --grid 2\n"
+
+    def test_the_config_holds_the_seed_the_run_draws_with(self):
+        expect = "expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid".split()
+        assert parse_config(expect + ["2"]).seed == 0
+        assert parse_config(expect + ["1"]).seed is None  # --grid 1 draws nothing
+        assert parse_config(expect + ["2", "--seed", "7"]).seed == 7
+        assert parse_config(["verify"]).seed == 0
+        assert parse_config(["state", "--s", "0", "--M", "0"]).seed is None
 
 
 class TestCommands:
@@ -473,6 +517,29 @@ class TestExitContract:
         assert code == EXIT_INTERNAL
         (record,) = _json_lines(captured.out)
         assert record["error"] == "internal-consistency"
+
+    def test_internal_consistency_record_reports_the_grid_seed(self, capsys, monkeypatch):
+        def broken_pair(spec, d, f):
+            return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
+
+        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        code = main("expect --s 0 --M 0 --c1 0.4,0 --c2 1.3,0.8 --grid 2".split())
+        assert code == EXIT_INTERNAL
+        (record,) = _json_lines(capsys.readouterr().out)
+        assert (record["error"], record["seed"]) == ("internal-consistency", 0)
+
+    def test_large_outcome_values_pass_the_imaginary_guard(self, capsys):
+        # rounding leaves an imaginary part near 1.5e-11 here, which the
+        # absolute 1e-12 bound took for an internal-consistency failure
+        code, out = _run(
+            capsys,
+            "expect --s 1 --M 0 --a 0.3,0.4 --c1 0.7,1.1 --c2 1,2 --d 0.4,0.5 --f 2,3 "
+            "--r1 1e3,-1e3 --r2 1e3,0.5 --grid 5".split(),
+        )
+        assert code == EXIT_OK
+        (record,) = _json_lines(out)
+        assert record["residual"] < 1e-10 * 1e6  # |matrix - oracle|
+        assert record["basis_invariance_residual"] < 1e-10 * 1e6
 
     def test_closed_stdout_ends_quietly_with_the_computed_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", _ClosedPipe())

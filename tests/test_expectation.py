@@ -174,6 +174,33 @@ class TestExpectationRoutes:
         with pytest.raises(InternalConsistencyError):
             expectation_mod.expectation_matrix(label, _random_spec(rng))
 
+    @pytest.mark.parametrize(
+        "values1, values2, residue, raises",
+        [
+            ((1, -1), (1, -1), 2e-12, True),  # spin projections: the bound stays 1e-12
+            ((0.5, -0.5), (0.5, 0.25), 8e-13, False),  # products below 1 keep 1e-12
+            ((10, -10), (1, -1), 2e-12, False),  # a product of 10 allows 1e-11
+            ((10, -10), (1, -1), 2e-11, True),
+        ],
+    )
+    def test_imaginary_bound_scales_with_the_outcome_values(
+        self, monkeypatch, values1, values2, residue, raises
+    ):
+        # a residue forced onto the quadratic form of a unit-norm state
+        def residue_pair(spec, d, f):
+            return (1.0 + residue * 1j) * np.eye(2), np.eye(2)
+
+        monkeypatch.setattr(expectation_mod, "operator_pair", residue_pair)
+        spec = MeasurementSpec(
+            Z_AXIS, Z_AXIS, OutcomeValues(*values1), OutcomeValues(*values2)
+        )
+        label = CompoundLabel(1, 0, Z_AXIS)
+        if raises:
+            with pytest.raises(InternalConsistencyError, match="imaginary part"):
+                expectation_mod.expectation_matrix(label, spec)
+        else:
+            assert expectation_mod.expectation_matrix(label, spec) == pytest.approx(1.0)
+
 
 class TestBasisInvarianceReport:
     def test_single_point_grid_has_zero_spread(self, rng):
