@@ -31,19 +31,20 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__, verify as verify_mod
-from .directions import Direction, Z_AXIS
+from .directions import Direction
 from .expectation import (
     InternalConsistencyError,
     outcome_probabilities,
     verify_basis_invariance,
 )
 from .kernels import CompoundLabel
-from .operators import MeasurementSpec, OutcomeValues, operator_pair
+from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues, operator_pair
 from .states import assemble_state
 
 EXIT_OK = 0
@@ -56,47 +57,13 @@ EXIT_INTERNAL = 3
 MAX_GRID = 100
 MAX_STEPS = 100_000
 
-# Where each direction that scan can sweep lives in a RunConfig.
-_SWEEP_PATHS = {"a": "label.axis", "c1": "spec.c1", "c2": "spec.c2", "d": "d", "f": "f"}
-_SWEEP_PARAMS = tuple(f"{obj}.{f}" for obj in _SWEEP_PATHS for f in ("theta", "phi"))
-
-_TOL_HELP = "override one check tolerance (repeatable); NAME is one of " + ", ".join(
-    verify_mod.check_names()
+# The directions scan can sweep, each by either angle.
+_SWEEP_PARAMS = tuple(
+    f"{obj}.{f}" for obj in ("a", "c1", "c2", "d", "f") for f in ("theta", "phi")
 )
 
-# Flag groups as (flag, help[, other add_argument keywords]); _SUBCOMMANDS
-# says which groups each subcommand takes.
-_FLAG_GROUPS: dict[str, tuple[tuple, ...]] = {
-    "common": (
-        ("--config", "JSON file with defaults for any flag"),
-        ("--format", None, {"choices": ("json", "csv")}),
-        ("--seed", None, {"type": int}),
-    ),
-    "label": (
-        ("--s", "total spin, 0 or 1"),
-        ("--M", "magnetic quantum number"),
-        ("--a", "quantization axis 'theta,phi'"),
-    ),
-    "df": (
-        ("--d", "first intermediate direction"),
-        ("--f", "second intermediate direction"),
-    ),
-    "meas": (("--c1", "first measured direction"), ("--c2", "second measured direction")),
-    "values": (
-        ("--r1", "outcome values 'plus,minus'"),
-        ("--r2", "outcome values 'plus,minus'"),
-    ),
-    "grid": (
-        ("--grid", "sample an NxN grid of intermediate pairs for the invariance residual"),
-    ),
-    "tol": (("--tol", _TOL_HELP, {"action": "append", "metavar": "NAME=VALUE"}),),
-    "sweep": (
-        ("--param", "one of " + ", ".join(_SWEEP_PARAMS)),
-        ("--start", None),
-        ("--stop", None),
-        ("--steps", None),
-    ),
-}
+# The default of a flag that must be given.
+REQUIRED = object()
 
 
 class UsageError(Exception):
@@ -116,29 +83,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    param: str
-    start: float
-    stop: float
-    steps: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     command: str
-    output_format: str = "json"
-    seed: int | None = None
-    tolerances: dict[str, float] | None = None
-    label: CompoundLabel | None = None
-    spec: MeasurementSpec | None = None
-    d: Direction = Z_AXIS
-    f: Direction = Z_AXIS
-    grid: int = 1
-    sweep: SweepSpec | None = None
+    output_format: str
+    seed: int | None
+    # The parsed value of each other flag the command takes, by its name
+    # without the dashes, in --help order.
+    inputs: dict[str, Any]
+
+    @property
+    def label(self) -> CompoundLabel:
+        return CompoundLabel(self.inputs["s"], self.inputs["M"], self.inputs["a"])
+
+    @property
+    def spec(self) -> MeasurementSpec:
+        inputs, unit = self.inputs, SPIN_PROJECTION_VALUES  # probabilities takes no r1, r2
+        return MeasurementSpec(
+            inputs["c1"], inputs["c2"], inputs.get("r1", unit), inputs.get("r2", unit)
+        )
 
 
 # ---------------------------------------------------------------------------
 # field parsing
+#
+# A parser takes a value, a flag's string or any JSON value from a config
+# file, and the flag that its error messages name.
 
 
 def _parse_float(token, field: str) -> float:
@@ -162,6 +131,45 @@ def _parse_angle(token, field: str) -> float:
     if text.lower().endswith("deg"):
         return math.radians(_parse_float(text[:-3], field))
     return _parse_float(text, field)
+
+
+def _parse_end(token, field: str) -> float:
+    end = _parse_angle(token, field)
+    if not math.isfinite(end):
+        raise UsageError(f"{field}: must be finite, got {end!r}")
+    return end
+
+
+def _parse_count(token, field: str, low: int, high: int) -> int:
+    value = _parse_int(token, field)
+    if value < low:
+        raise UsageError(f"{field}: must be at least {low}")
+    if value > high:
+        raise UsageError(f"{field}: must be at most {high}")
+    return value
+
+
+def _parse_seed(token, field: str) -> int | None:
+    if token is None:
+        return None
+    seed = _parse_int(token, field)
+    if seed < 0:
+        raise UsageError(f"{field}: must be non-negative")
+    return seed
+
+
+def _parse_format(token, field: str) -> str:
+    if token not in ("json", "csv"):
+        raise UsageError(f"{field}: expected json or csv, got {token!r}")
+    return token
+
+
+def _parse_param(token, field: str) -> str:
+    if token not in _SWEEP_PARAMS:
+        raise UsageError(
+            f"{field}: unknown parameter {token!r}, expected one of " + ", ".join(_SWEEP_PARAMS)
+        )
+    return token
 
 
 def _construct(cls, prefix: str, *args):
@@ -200,7 +208,7 @@ def _parse_pair(value, field: str, cls):
     return _construct(cls, f"{field}: ", *args)
 
 
-def _parse_tolerances(entries, field: str) -> dict[str, float]:
+def _parse_tol(entries, field: str) -> dict[str, float]:
     if entries is None:
         return {}
     if isinstance(entries, dict):
@@ -225,6 +233,61 @@ def _parse_tolerances(entries, field: str) -> dict[str, float]:
     return out
 
 
+_parse_direction = partial(_parse_pair, cls=Direction)
+_parse_values = partial(_parse_pair, cls=OutcomeValues)
+
+_GRID_HELP = "sample an NxN grid of intermediate pairs for the invariance residual"
+_TOL_HELP = "override one check tolerance (repeatable); NAME is one of " + ", ".join(
+    verify_mod.check_names()
+)
+
+# Every flag, once, as (flag, help, parser, default or REQUIRED[, other
+# add_argument keywords]).  A value comes from the flag, else from the config
+# file, else from the default, and goes through the parser in each case;
+# --config, which names the file, has no parser.  _SUBCOMMANDS says which
+# groups each subcommand takes.
+_FLAG_GROUPS: dict[str, tuple[tuple, ...]] = {
+    "common": (
+        ("--config", "JSON file with defaults for any flag", None, None),
+        ("--format", None, _parse_format, "json", {"choices": ("json", "csv")}),
+        ("--seed", None, _parse_seed, None, {"type": int}),
+    ),
+    "label": (
+        ("--s", "total spin, 0 or 1", _parse_int, REQUIRED),
+        ("--M", "magnetic quantum number", _parse_int, REQUIRED),
+        ("--a", "quantization axis 'theta,phi'", _parse_direction, "0,0"),
+    ),
+    "df": (
+        ("--d", "first intermediate direction", _parse_direction, "0,0"),
+        ("--f", "second intermediate direction", _parse_direction, "0,0"),
+    ),
+    "meas": (
+        ("--c1", "first measured direction", _parse_direction, REQUIRED),
+        ("--c2", "second measured direction", _parse_direction, REQUIRED),
+    ),
+    "values": (
+        ("--r1", "outcome values 'plus,minus'", _parse_values, "1,-1"),
+        ("--r2", "outcome values 'plus,minus'", _parse_values, "1,-1"),
+    ),
+    "grid": (("--grid", _GRID_HELP, partial(_parse_count, low=1, high=MAX_GRID), 1),),
+    "tol": (
+        ("--tol", _TOL_HELP, _parse_tol, None, {"action": "append", "metavar": "NAME=VALUE"}),
+    ),
+    "sweep": (
+        ("--param", "one of " + ", ".join(_SWEEP_PARAMS), _parse_param, REQUIRED),
+        ("--start", None, _parse_end, REQUIRED),
+        ("--stop", None, _parse_end, REQUIRED),
+        ("--steps", None, partial(_parse_count, low=2, high=MAX_STEPS), REQUIRED),
+    ),
+}
+_FLAG_NAMES = {row[0][2:] for rows in _FLAG_GROUPS.values() for row in rows}
+
+
+def _rows(command: str) -> list[tuple]:
+    """The rows of the flags ``command`` takes, in --help order."""
+    return [row for group in ("common",) + _SUBCOMMANDS[command][1] for row in _FLAG_GROUPS[group]]
+
+
 # ---------------------------------------------------------------------------
 # argument and config handling
 
@@ -241,9 +304,8 @@ def _build_parser(argv) -> _Parser:
     named = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else []
     for command in named or _SUBCOMMANDS:
         sub_parser = sub.add_parser(command)
-        for group in (("common",) + _SUBCOMMANDS[command][1]) if named else ():
-            for flag, help_text, *kwargs in _FLAG_GROUPS[group]:
-                sub_parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
+        for flag, help_text, _, _, *kwargs in _rows(command) if named else ():
+            sub_parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
     return parser
 
 
@@ -260,115 +322,61 @@ def _load_config_file(path: str) -> dict[str, Any]:
     return data
 
 
-def _config_keys(*groups: str) -> set[str]:
-    """Config-file keys of the flags in ``groups``: the flag without its dashes."""
-    return {flag[2:] for group in groups for flag, *_ in _FLAG_GROUPS[group]}
-
-
 def parse_config(argv=None) -> RunConfig:
     """Turn argv (default ``sys.argv[1:]``, plus an optional config file) into
-    a validated RunConfig, whose seed is the one the run draws with."""
+    a validated RunConfig, whose seed is the one the run draws with.
+
+    Errors come in a fixed order: every missing flag in one message, then
+    each value in --help order, then the checks across flags.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
-    command = args.command
-    groups = _SUBCOMMANDS[command][1]
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    known = _config_keys(*_FLAG_GROUPS)
-    unknown = [key for key in file_cfg if key not in known]
+    args = vars(_build_parser(argv).parse_args(argv))
+    command = args["command"]
+    file_cfg = _load_config_file(args["config"]) if args["config"] else {}
+    unknown = [key for key in file_cfg if key not in _FLAG_NAMES]
     if unknown:
         raise UsageError(f"--config: unknown key {unknown[0]!r}")
-    # Keys of flags that only other subcommands take are left unread.
-    own = _config_keys("common", *groups)
-    file_cfg = {key: value for key, value in file_cfg.items() if key in own}
+    # Keys of flags that only other subcommands take are left unread, and a
+    # null in the file leaves a required flag missing.
+    given, missing = [], []
+    for flag, _, parse, default, *_ in _rows(command):
+        value = args[flag[2:]]
+        if value is None:
+            value = file_cfg.get(flag[2:], default)
+        if value is REQUIRED or value is None and default is REQUIRED:
+            missing.append(flag)
+        elif parse:
+            given.append((flag, parse, value))
+    if missing:
+        *rest, last = missing
+        names = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
+        raise UsageError(f"{names} required for {command}")
+    inputs = {flag[2:]: parse(value, flag) for flag, parse, value in given}
+    output_format, seed = inputs.pop("format"), inputs.pop("seed")
 
-    def opt(key: str, fallback=None):
-        value = getattr(args, key, None)
-        return file_cfg.get(key, fallback) if value is None else value
-
-    def required(*keys: str) -> list:
-        values = [opt(key) for key in keys]
-        if any(value is None for value in values):
-            *rest, last = [f"--{key}" for key in keys]
-            names = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
-            raise UsageError(f"{names} required for {command}")
-        return values
-
-    output_format = opt("format", "json")
-    if output_format not in ("json", "csv"):
-        raise UsageError(f"--format: expected json or csv, got {output_format!r}")
-    seed = opt("seed")
-    if seed is not None:
-        seed = _parse_int(seed, "--seed")
-        if seed < 0:
-            raise UsageError("--seed: must be non-negative")
-    fields: dict[str, Any] = {"output_format": output_format, "seed": seed}
-
-    if "label" in groups:
-        (s,), (M,) = required("s"), required("M")
+    if "s" in inputs:
         # CompoundLabel's own messages name s and M, so they carry no prefix.
-        fields["label"] = _construct(
-            CompoundLabel,
-            "",
-            _parse_int(s, "--s"),
-            _parse_int(M, "--M"),
-            _parse_pair(opt("a", "0,0"), "--a", Direction),
-        )
-
-    if "meas" in groups:
-        c1, c2 = required("c1", "c2")
-        fields["spec"] = spec = MeasurementSpec(
-            _parse_pair(c1, "--c1", Direction),
-            _parse_pair(c2, "--c2", Direction),
-            _parse_pair(opt("r1", "1,-1"), "--r1", OutcomeValues),
-            _parse_pair(opt("r2", "1,-1"), "--r2", OutcomeValues),
-        )
-        if "label" in groups and "values" in groups:
-            # expect and scan average the products r1(u) * r2(v); one that
-            # overflows would print NaN or Infinity, which is not JSON.
-            big1, big2 = spec.values1.largest, spec.values2.largest
-            if not math.isfinite(big1 * big2):
-                raise UsageError(
-                    f"--r1, --r2: products of outcome values must be finite, "
-                    f"got {big1!r} * {big2!r}"
-                )
-
-    if "df" in groups:
-        fields["d"] = _parse_pair(opt("d", "0,0"), "--d", Direction)
-        fields["f"] = _parse_pair(opt("f", "0,0"), "--f", Direction)
-
-    if "grid" in groups:
-        fields["grid"] = _parse_int(opt("grid", 1), "--grid")
-        if fields["grid"] < 1:
-            raise UsageError("--grid: must be at least 1")
-        if fields["grid"] > MAX_GRID:
-            raise UsageError(f"--grid: must be at most {MAX_GRID}")
-
-    if "tol" in groups:
-        fields["tolerances"] = _parse_tolerances(opt("tol"), "--tol")
-
-    if seed is None and (command == "verify" or fields.get("grid", 1) > 1):
-        fields["seed"] = 0  # what they draw with; --grid 1 draws nothing
-
-    if "sweep" in groups:
-        (param,) = required("param")
-        if param not in _SWEEP_PARAMS:
+        _construct(CompoundLabel, "", inputs["s"], inputs["M"], inputs["a"])
+    if "s" in inputs and "r1" in inputs:
+        # expect and scan average the products r1(u) * r2(v); one that
+        # overflows would print NaN or Infinity, which is not JSON.
+        big1, big2 = inputs["r1"].largest, inputs["r2"].largest
+        if not math.isfinite(big1 * big2):
             raise UsageError(
-                f"--param: unknown parameter {param!r}, expected one of "
-                + ", ".join(_SWEEP_PARAMS)
+                f"--r1, --r2: products of outcome values must be finite, "
+                f"got {big1!r} * {big2!r}"
             )
-        start, stop, steps = required("start", "stop", "steps")
-        steps = _parse_int(steps, "--steps")
-        if steps < 2:
-            raise UsageError("--steps: must be at least 2")
-        if steps > MAX_STEPS:
-            raise UsageError(f"--steps: must be at most {MAX_STEPS}")
-        ends = [_parse_angle(start, "--start"), _parse_angle(stop, "--stop")]
-        for flag, end in zip(("--start", "--stop"), ends):
-            if not math.isfinite(end):
-                raise UsageError(f"{flag}: must be finite, got {end!r}")
-        fields["sweep"] = SweepSpec(param, *ends, steps)
+    if "param" in inputs:
+        # scan steps by (stop - start) / (steps - 1); an infinite span gives NaN.
+        start, stop = inputs["start"], inputs["stop"]
+        if not math.isfinite(stop - start):
+            raise UsageError(
+                f"--start, --stop: stop - start must be finite, got {stop!r} - {start!r}"
+            )
 
-    return RunConfig(command=command, **fields)
+    if seed is None and (command == "verify" or inputs.get("grid", 1) > 1):
+        seed = 0  # what they draw with; --grid 1 draws nothing
+    return RunConfig(command, output_format, seed, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -434,30 +442,21 @@ def emit_records(records, output_format: str, out) -> None:
 # commands
 
 
-def _pair_fields(**pairs) -> dict[str, float]:
-    """<name>_theta, <name>_phi or <name>_plus, <name>_minus for each named pair."""
-    return {
-        f"{name}_{key}": v
-        for name, pair in pairs.items()
-        for key, v in zip(_PAIR_FORMS[type(pair)][0], vars(pair).values())
-    }
+# Inputs no record echoes: the tolerances, and the sweep, which each scan
+# record gives as its param and value.
+_UNECHOED = ("tol", "param", "start", "stop", "steps")
 
 
 def _echo(config: RunConfig) -> dict[str, Any]:
-    """Record fields echoing the inputs of each flag group the command takes."""
-    label, spec = config.label, config.spec
+    """Record fields echoing the command's inputs; a pair gives two fields,
+    <name>_theta, <name>_phi or <name>_plus, <name>_minus."""
     out: dict[str, Any] = {}
-    for group in _SUBCOMMANDS[config.command][1]:
-        if group == "label":
-            out.update(s=label.s, M=label.M, **_pair_fields(a=label.axis))
-        elif group == "df":
-            out.update(_pair_fields(d=config.d, f=config.f))
-        elif group == "meas":
-            out.update(_pair_fields(c1=spec.c1, c2=spec.c2))
-        elif group == "values":
-            out.update(_pair_fields(r1=spec.values1, r2=spec.values2))
-        elif group == "grid":
-            out["grid"] = config.grid
+    for name, value in config.inputs.items():
+        if type(value) in _PAIR_FORMS:
+            keys = _PAIR_FORMS[type(value)][0]
+            out.update(zip((f"{name}_{key}" for key in keys), vars(value).values()))
+        elif name not in _UNECHOED:
+            out[name] = value
     return out
 
 
@@ -477,7 +476,7 @@ def _record(config: RunConfig, timestamp: str, head=None, **results) -> dict[str
 
 
 def _cmd_state(config: RunConfig, timestamp: str):
-    asm = assemble_state(config.label, config.d, config.f)
+    asm = assemble_state(config.label, config.inputs["d"], config.inputs["f"])
     record = _record(
         config,
         timestamp,
@@ -489,7 +488,7 @@ def _cmd_state(config: RunConfig, timestamp: str):
 
 
 def _cmd_operator(config: RunConfig, timestamp: str):
-    r1, r2 = operator_pair(config.spec, config.d, config.f)
+    r1, r2 = operator_pair(config.spec, config.inputs["d"], config.inputs["f"])
     return [_record(config, timestamp, r1=r1, r2=r2)], EXIT_OK
 
 
@@ -512,15 +511,15 @@ def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
 
 def _cmd_expect(config: RunConfig, timestamp: str):
     rng = np.random.default_rng(config.seed)  # None only for --grid 1: no draws
-    draw, n = verify_mod._draw, config.grid - 1
-    ds = [config.d] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
-    fs = [config.f] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
+    draw, n = verify_mod._draw, config.inputs["grid"] - 1
+    ds = [config.inputs["d"]] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
+    fs = [config.inputs["f"]] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
     results = _correlation(config, [(d, f) for d in ds for f in fs])
     return [_record(config, timestamp, **results)], EXIT_OK
 
 
 def _cmd_verify(config: RunConfig, timestamp: str):
-    results = verify_mod.run_verification(config.seed, config.tolerances)
+    results = verify_mod.run_verification(config.seed, config.inputs["tol"])
     records = [
         _record(
             config,
@@ -541,30 +540,19 @@ def _cmd_verify(config: RunConfig, timestamp: str):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
-def _replaced(obj, path: list[str], value):
-    """``obj`` with the attribute at ``path`` set to ``value``, by dataclasses.replace."""
-    name, *rest = path
-    if rest:
-        value = _replaced(getattr(obj, name), rest, value)
-    return replace(obj, **{name: value})
-
-
 def _cmd_scan(config: RunConfig, timestamp: str):
-    param = config.sweep.param
-    obj, _, field = param.partition(".")
-    path = _SWEEP_PATHS[obj].split(".") + [field]
+    inputs, param = config.inputs, config.inputs["param"]
+    name, _, angle = param.partition(".")
     records = []
-    for value in np.linspace(config.sweep.start, config.sweep.stop, config.sweep.steps):
-        point = _replaced(config, path, float(value))
-        head = {"param": param, "value": float(value)}
-        results = _correlation(point, [(point.d, point.f)])
-        records.append(_record(point, timestamp, head, **results))
+    for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
+        point = replace(config, inputs={**inputs, name: replace(inputs[name], **{angle: value})})
+        results = _correlation(point, [(point.inputs["d"], point.inputs["f"])])
+        records.append(_record(point, timestamp, {"param": param, "value": value}, **results))
     return records, EXIT_OK
 
 
 # Each subcommand's handler and the flag groups it takes after "common", in
-# --help order.  The groups also decide which flags parse_config reads and
-# which inputs _echo copies into the records.
+# --help order: the flags it parses, and the inputs its records echo.
 _SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "state": (_cmd_state, ("label", "df")),
     "operator": (_cmd_operator, ("df", "meas", "values")),

@@ -22,30 +22,6 @@ from .directions import Direction, Z_AXIS, angle_between
 from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SQRT_HALF
 from .operators import MeasurementSpec, OutcomeValues
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "kernel_unitarity": 1e-12,
-    "kernel_hermiticity": 1e-12,
-    "kernel_composition": 1e-12,
-    "zeta_normalization": 1e-12,
-    "clebsch_gordan_table": 1e-15,
-    "clebsch_gordan_orthonormality": 1e-15,
-    "chi_completeness": 1e-12,
-    "state_normalization": 1e-12,
-    "state_orthonormality": 1e-12,
-    "standard_form_states": 1e-15,
-    "standard_form_operators": 1e-15,
-    "axis_aligned_states": 1e-12,
-    "operator_hermiticity": 1e-12,
-    "operator_spectrum": 1e-10,
-    "operator_covariance": 1e-12,
-    "oracle_equivalence": 1e-10,
-    "basis_invariance": 1e-10,
-    "probability_completeness": 1e-12,
-    "singlet_cosine_law": 1e-10,
-    "singlet_rotation_invariance": 1e-12,
-    "chsh_extremum": 1e-10,
-}
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -54,12 +30,6 @@ class CheckResult:
     max_residual: float
     tolerance: float
     passed: bool
-
-
-def _result(name: str, samples: int, residuals, tol: float) -> CheckResult:
-    """The check's result; ``residuals`` (a number or an array) count by magnitude."""
-    worst = float(np.max(np.abs(residuals)))
-    return CheckResult(name, samples, worst, tol, bool(worst <= tol))
 
 
 # A _draw field is _DIRECTION, drawn as theta on [0, pi) then phi on
@@ -108,33 +78,33 @@ def _norm_gaps(a: np.ndarray) -> np.ndarray:
 # keeps no list of per-sample arrays alive.
 
 
-def _check_kernel_unitarity(rng, tol, samples=1000):
+def _check_kernel_unitarity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION])
     x = np.fromiter((kernels.xi_half(i, f) for i, f in rows), (complex, (2, 2)), samples)
-    return _result("kernel_unitarity", samples, x @ _dagger(x) - np.eye(2), tol)
+    return samples, x @ _dagger(x) - np.eye(2)
 
 
-def _check_kernel_hermiticity(rng, tol, samples=1000):
+def _check_kernel_hermiticity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION])
     pairs = ((kernels.xi_half(f, i), kernels.xi_half(i, f)) for i, f in rows)
     x = np.fromiter(pairs, (complex, (2, 2, 2)), samples)
-    return _result("kernel_hermiticity", samples, x[:, 0] - _dagger(x[:, 1]), tol)
+    return samples, x[:, 0] - _dagger(x[:, 1])
 
 
-def _check_kernel_composition(rng, tol, samples=1000):
+def _check_kernel_composition(rng, samples):
     rows = _draw(rng, samples, 3 * [_DIRECTION])
     triples = ([kernels.xi_half(*p) for p in ((a, c), (a, b), (b, c))] for a, b, c in rows)
     x = np.fromiter(triples, (complex, (3, 2, 2)), samples)
-    return _result("kernel_composition", samples, x[:, 0] - x[:, 1] @ x[:, 2], tol)
+    return samples, x[:, 0] - x[:, 1] @ x[:, 2]
 
 
-def _check_zeta_normalization(rng, tol, samples=100):
+def _check_zeta_normalization(rng, samples):
     rows = _draw(rng, samples, [_DIRECTION])
     z = np.array([kernels.zeta_spin1(m, a) for (a,) in rows for m in (1, 0, -1)])
-    return _result("zeta_normalization", 3 * samples, _norm_gaps(z), tol)
+    return 3 * samples, _norm_gaps(z)
 
 
-def _check_clebsch_gordan_table(rng, tol, samples=16):
+def _check_clebsch_gordan_table(rng, samples):
     cg = kernels.clebsch_gordan_half_half
     expected = [
         (1, 1, PLUS, PLUS, 1.0),
@@ -155,31 +125,31 @@ def _check_clebsch_gordan_table(rng, tol, samples=16):
         (0, 0, MINUS, MINUS, 0.0),
     ]
     gaps = [cg(s, M, m1, m2) - want for s, M, m1, m2, want in expected]
-    return _result("clebsch_gordan_table", len(expected), gaps, tol)
+    return len(expected), gaps
 
 
-def _check_clebsch_gordan_orthonormality(rng, tol, samples=1):
+def _check_clebsch_gordan_orthonormality(rng, samples):
     rows = []
     for s, M in _LABELS:
         rows.append(
             [kernels.clebsch_gordan_half_half(s, M, m1, m2) for m1, m2 in B_INDEX_ORDER]
         )
     t = np.array(rows)
-    return _result("clebsch_gordan_orthonormality", samples, t @ t.T - np.eye(4), tol)
+    return samples, t @ t.T - np.eye(4)
 
 
-def _check_chi_completeness(rng, tol, samples=100):
+def _check_chi_completeness(rng, samples):
     rows = _draw(rng, samples, [_DIRECTION])
     labels = [label for (axis,) in rows for label in _four_labels(axis)]
     c = np.array([[kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in labels])
-    return _result("chi_completeness", 4 * samples, _norm_gaps(c), tol)
+    return 4 * samples, _norm_gaps(c)
 
 
 # ---------------------------------------------------------------------------
 # assembled states
 
 
-def _check_state_normalization(rng, tol, samples=100):
+def _check_state_normalization(rng, samples):
     t = np.array(
         [
             states.assemble_state(label, d, f).tensor
@@ -187,17 +157,17 @@ def _check_state_normalization(rng, tol, samples=100):
             for label in _four_labels(axis)
         ]
     )
-    return _result("state_normalization", 4 * samples, _norm_gaps(t), tol)
+    return 4 * samples, _norm_gaps(t)
 
 
-def _check_state_orthonormality(rng, tol, samples=100):
+def _check_state_orthonormality(rng, samples):
     g = np.array(
         [
             states.gram_matrix([states.assemble_state(lb, d, f) for lb in _four_labels(a)])
             for a, d, f in _draw(rng, samples, 3 * [_DIRECTION])
         ]
     )
-    return _result("state_orthonormality", samples, g - np.eye(4), tol)
+    return samples, g - np.eye(4)
 
 
 # The z-axis states (1, 1), (1, 0), (1, -1), (0, 0), one row each over
@@ -212,23 +182,23 @@ _STANDARD_PATTERNS = np.array(
 )
 
 
-def _check_standard_form_states(rng, tol, samples=4):
+def _check_standard_form_states(rng, samples):
     labels = _four_labels(Z_AXIS)
     got = np.array([states.assemble_state(lb, Z_AXIS, Z_AXIS).tensor for lb in labels])
-    return _result("standard_form_states", samples, got - _STANDARD_PATTERNS, tol)
+    return samples, got - _STANDARD_PATTERNS
 
 
-def _check_standard_form_operators(rng, tol, samples=200):
+def _check_standard_form_operators(rng, samples):
     values = OutcomeValues(1.0, -1.0)
     cs = [c for (c,) in _draw(rng, samples, [_DIRECTION])]
     got = np.array([operators.r_matrix(Z_AXIS, c, values) for c in cs])
     theta, phi = np.array([(c.theta, c.phi) for c in cs]).T
     cos, sin = np.cos(theta), np.sin(theta)
     want = np.array([[cos, sin * np.exp(-1j * phi)], [sin * np.exp(1j * phi), -cos]])
-    return _result("standard_form_operators", samples, got - want.transpose(2, 0, 1), tol)
+    return samples, got - want.transpose(2, 0, 1)
 
 
-def _check_axis_aligned_states(rng, tol, samples=100):
+def _check_axis_aligned_states(rng, samples):
     etas, coeffs, tensors = [], [], []
     for d, f in _draw(rng, samples, 2 * [_DIRECTION]):
         etas.append([[kernels.eta_from_z(m, x) for m in (PLUS, MINUS)] for x in (d, f)])
@@ -244,28 +214,28 @@ def _check_axis_aligned_states(rng, tol, samples=100):
         np.reshape(coeffs, (-1, 4, 4)) - _STANDARD_PATTERNS,
         np.reshape(tensors, (-1, 4, 4)) - _STANDARD_PATTERNS @ outer,
     ]
-    return _result("axis_aligned_states", 4 * samples, gaps, tol)
+    return 4 * samples, gaps
 
 
 # ---------------------------------------------------------------------------
 # observable operators
 
 
-def _check_operator_hermiticity(rng, tol, samples=300):
+def _check_operator_hermiticity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION] + 2 * [_VALUE])
     r = np.array([operators.r_matrix(i, c, OutcomeValues(p, m)) for i, c, p, m in rows])
-    return _result("operator_hermiticity", samples, r - _dagger(r), tol)
+    return samples, r - _dagger(r)
 
 
-def _check_operator_spectrum(rng, tol, samples=300):
+def _check_operator_spectrum(rng, samples):
     r, want = [], []
     for p, m, i, c in _draw(rng, samples, 2 * [_VALUE] + 2 * [_DIRECTION]):
         r.append(operators.r_matrix(i, c, OutcomeValues(p, m)))
         want.append(sorted((p, m)))
-    return _result("operator_spectrum", samples, np.linalg.eigvalsh(r) - want, tol)
+    return samples, np.linalg.eigvalsh(r) - want
 
 
-def _check_operator_covariance(rng, tol, samples=300):
+def _check_operator_covariance(rng, samples):
     # Rebasing the block from intermediate d1 to d2 conjugates it by the
     # complex conjugate of the direction-change matrix between them.
     blocks = []
@@ -274,7 +244,7 @@ def _check_operator_covariance(rng, tol, samples=300):
         r1, r2 = operators.r_matrix(d1, c, values), operators.r_matrix(d2, c, values)
         blocks.append((r1, r2, kernels.xi_half(d2, d1).conj()))
     r1, r2, v = np.array(blocks).swapaxes(0, 1)
-    return _result("operator_covariance", samples, r2 - v @ r1 @ _dagger(v), tol)
+    return samples, r2 - v @ r1 @ _dagger(v)
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +264,26 @@ def _random_problem(rng, k: int):
     return CompoundLabel(s, M, axis), spec, dirs
 
 
-def _check_oracle_equivalence(rng, tol, samples=1000):
+def _check_oracle_equivalence(rng, samples):
     gaps = []
     for _ in range(samples):
         label, spec, (d, f) = _random_problem(rng, 2)
         matrix = expectation.expectation_matrix(label, spec, d, f)
         gaps.append(matrix - expectation.expectation_oracle(label, spec))
-    return _result("oracle_equivalence", samples, gaps, tol)
+    return samples, gaps
 
 
-def _check_basis_invariance(rng, tol, samples=100):
+def _check_basis_invariance(rng, samples):
     spreads = []
     for _ in range(samples):
         label, spec, dirs = _random_problem(rng, 10)
         grid = product(dirs[:5], dirs[5:])
         report = expectation.verify_basis_invariance(label, spec, grid)
         spreads.append(report.basis_invariance_residual)
-    return _result("basis_invariance", samples, spreads, tol)
+    return samples, spreads
 
 
-def _check_probability_completeness(rng, tol, samples=100):
+def _check_probability_completeness(rng, samples):
     p = np.array(
         [
             expectation.outcome_probabilities(label, c1, c2)
@@ -323,10 +293,10 @@ def _check_probability_completeness(rng, tol, samples=100):
     )
     # each quadruple's sum off 1, and each probability's distance from [0, 1]
     gaps = np.hstack([p.sum(axis=1, keepdims=True) - 1.0, p - np.clip(p, 0.0, 1.0)])
-    return _result("probability_completeness", 4 * samples, gaps, tol)
+    return 4 * samples, gaps
 
 
-def _check_singlet_cosine_law(rng, tol, samples=181):
+def _check_singlet_cosine_law(rng, samples):
     label = CompoundLabel(0, 0, Z_AXIS)
     vals = OutcomeValues(1.0, -1.0)
     thetas = np.linspace(0.0, math.pi, samples).tolist()
@@ -337,10 +307,10 @@ def _check_singlet_cosine_law(rng, tol, samples=181):
         want = -math.cos(angle_between(Z_AXIS, c2))
         matrix = expectation.expectation_matrix(label, spec, d, f)
         values.append((matrix - want, expectation.expectation_oracle(label, spec) - want))
-    return _result("singlet_cosine_law", samples, values, tol)
+    return samples, values
 
 
-def _check_singlet_rotation_invariance(rng, tol, samples=100):
+def _check_singlet_rotation_invariance(rng, samples):
     gaps = []
     for c1, c2, delta in _draw(rng, samples, 2 * [_DIRECTION] + [_ANGLES[1]]):
         base = expectation.singlet_expectation(c1, c2)
@@ -348,10 +318,10 @@ def _check_singlet_rotation_invariance(rng, tol, samples=100):
             Direction(c1.theta, c1.phi + delta), Direction(c2.theta, c2.phi + delta)
         )
         gaps.append(base - turned)
-    return _result("singlet_rotation_invariance", samples, gaps, tol)
+    return samples, gaps
 
 
-def _check_chsh_extremum(rng, tol, samples=1):
+def _check_chsh_extremum(rng, samples):
     # Coplanar settings 45 degrees apart saturate the 2*sqrt(2) bound; the
     # sign of the combination depends on which settings are primed.
     s = expectation.chsh_value(
@@ -360,36 +330,40 @@ def _check_chsh_extremum(rng, tol, samples=1):
         Direction(math.pi / 4, 0.0),
         Direction(3.0 * math.pi / 4, 0.0),
     )
-    return _result("chsh_extremum", samples, abs(s) - 2.0 * math.sqrt(2.0), tol)
+    return samples, abs(s) - 2.0 * math.sqrt(2.0)
 
 
+# (name, check, samples, tolerance) for each check, in the order they run.
+# A check takes the generator and its sample count and returns the number of
+# samples it reports with its residuals, a number or an array of any shape.
 _CHECKS = (
-    ("kernel_unitarity", _check_kernel_unitarity),
-    ("kernel_hermiticity", _check_kernel_hermiticity),
-    ("kernel_composition", _check_kernel_composition),
-    ("zeta_normalization", _check_zeta_normalization),
-    ("clebsch_gordan_table", _check_clebsch_gordan_table),
-    ("clebsch_gordan_orthonormality", _check_clebsch_gordan_orthonormality),
-    ("chi_completeness", _check_chi_completeness),
-    ("state_normalization", _check_state_normalization),
-    ("state_orthonormality", _check_state_orthonormality),
-    ("standard_form_states", _check_standard_form_states),
-    ("standard_form_operators", _check_standard_form_operators),
-    ("axis_aligned_states", _check_axis_aligned_states),
-    ("operator_hermiticity", _check_operator_hermiticity),
-    ("operator_spectrum", _check_operator_spectrum),
-    ("operator_covariance", _check_operator_covariance),
-    ("oracle_equivalence", _check_oracle_equivalence),
-    ("basis_invariance", _check_basis_invariance),
-    ("probability_completeness", _check_probability_completeness),
-    ("singlet_cosine_law", _check_singlet_cosine_law),
-    ("singlet_rotation_invariance", _check_singlet_rotation_invariance),
-    ("chsh_extremum", _check_chsh_extremum),
+    ("kernel_unitarity", _check_kernel_unitarity, 1000, 1e-12),
+    ("kernel_hermiticity", _check_kernel_hermiticity, 1000, 1e-12),
+    ("kernel_composition", _check_kernel_composition, 1000, 1e-12),
+    ("zeta_normalization", _check_zeta_normalization, 100, 1e-12),
+    ("clebsch_gordan_table", _check_clebsch_gordan_table, 16, 1e-15),
+    ("clebsch_gordan_orthonormality", _check_clebsch_gordan_orthonormality, 1, 1e-15),
+    ("chi_completeness", _check_chi_completeness, 100, 1e-12),
+    ("state_normalization", _check_state_normalization, 100, 1e-12),
+    ("state_orthonormality", _check_state_orthonormality, 100, 1e-12),
+    ("standard_form_states", _check_standard_form_states, 4, 1e-15),
+    ("standard_form_operators", _check_standard_form_operators, 200, 1e-15),
+    ("axis_aligned_states", _check_axis_aligned_states, 100, 1e-12),
+    ("operator_hermiticity", _check_operator_hermiticity, 300, 1e-12),
+    ("operator_spectrum", _check_operator_spectrum, 300, 1e-10),
+    ("operator_covariance", _check_operator_covariance, 300, 1e-12),
+    ("oracle_equivalence", _check_oracle_equivalence, 1000, 1e-10),
+    ("basis_invariance", _check_basis_invariance, 100, 1e-10),
+    ("probability_completeness", _check_probability_completeness, 100, 1e-12),
+    ("singlet_cosine_law", _check_singlet_cosine_law, 181, 1e-10),
+    ("singlet_rotation_invariance", _check_singlet_rotation_invariance, 100, 1e-12),
+    ("chsh_extremum", _check_chsh_extremum, 1, 1e-10),
 )
+DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, _, _, tol in _CHECKS}
 
 
 def check_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _CHECKS)
+    return tuple(name for name, *_ in _CHECKS)
 
 
 def run_verification(
@@ -399,6 +373,7 @@ def run_verification(
 
     ``overrides`` replaces the default tolerance of the named checks.
     Unknown names raise KeyError so a typo cannot silently relax anything.
+    A check passes when its largest residual magnitude is within tolerance.
     """
     overrides = dict(overrides or {})
     for name in overrides:
@@ -406,7 +381,9 @@ def run_verification(
             raise KeyError(f"unknown check name {name!r}")
     rng = np.random.default_rng(seed)
     results = []
-    for name, fn in _CHECKS:
+    for name, check, samples, _ in _CHECKS:
         tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-        results.append(fn(rng, tol))
+        count, residuals = check(rng, samples)
+        worst = float(np.max(np.abs(residuals)))
+        results.append(CheckResult(name, count, worst, tol, bool(worst <= tol)))
     return results

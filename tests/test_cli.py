@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -31,6 +32,24 @@ _TS = re.compile(r'("timestamp":")[^"]*(")|(?<=,)\d{4}-\d{2}-\d{2}T[^,\n]*')
 _SCAN_C2 = "scan --s 1 --M 1 --c1 0,0 --c2 0,0 --param c2.theta"
 
 _COMMANDS = ("state", "operator", "probabilities", "expect", "verify", "scan")
+
+# A value for each flag, none of them its default, and the flags each
+# subcommand takes after --config, required ones starred.
+_FLAG_VALUES = {
+    "format": "csv", "seed": "3", "s": "1", "M": "-1", "a": "-0.3,2", "d": "-1,0.5",
+    "f": "0.2,-4", "c1": "-0.5,0", "c2": "60deg,-1", "r1": "-1,1", "r2": "2,-0.5",
+    "grid": "3", "tol": "kernel_unitarity=1e-9", "param": "d.phi", "start": "-1e-3",
+    "stop": "-90deg", "steps": "4",
+}
+_COMMAND_FLAGS = {
+    "state": "format seed *s *M a d f",
+    "operator": "format seed d f *c1 *c2 r1 r2",
+    "probabilities": "format seed *s *M a *c1 *c2",
+    "expect": "format seed *s *M a d f *c1 *c2 r1 r2 grid",
+    "verify": "format seed tol",
+    "scan": "format seed *s *M a d f *c1 *c2 r1 r2 *param *start *stop *steps",
+}
+_EACH_FLAG = [(c, f) for c, flags in _COMMAND_FLAGS.items() for f in flags.split()]
 _HELP_PAGES = pathlib.Path(__file__).parent / "help_pages"
 
 
@@ -197,6 +216,34 @@ class TestParsing:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            ("expect --s 0 --M 0 --c1 0,0", "--c2 is"),
+            (_SCAN_C2 + " --start 0 --stop 1", "--steps is"),
+            ("expect --c1 0,0 --c2 0,0", "--s and --M are"),
+            ("scan --s 0 --c2 0,0 --stop 1", "--M, --c1, --param, --start and --steps are"),
+        ],
+    )
+    def test_one_message_names_exactly_the_missing_flags(self, capsys, argv, missing):
+        assert main(argv.split()) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {missing} required for {argv.split()[0]}\n"
+
+    def test_an_overflowing_sweep_span_is_a_one_line_usage_error(self, capsys, tmp_path):
+        # start and stop are finite, stop - start is not
+        argv = (_SCAN_C2 + " --steps 3").split()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"start": -1e308, "stop": 1e308}))
+        runs = [argv + ["--start", "-1e308", "--stop", "1e308"], argv + ["--config", str(path)]]
+        for run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(run) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --start, --stop: ")
+            assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "state --s 0 --M 0",
@@ -217,21 +264,21 @@ class TestParsing:
         assert capsys.readouterr().err == "error: --seed: must be non-negative\n"
 
     @pytest.mark.parametrize(
-        "argv, key, value",
-        [
-            ("expect --s 1 --M 0 --c2 1,0", "c1", "-0.5,0"),
-            ("expect --s 1 --M 0 --c1 0,0 --c2 1,0", "r1", "-1,1"),
-            (_SCAN_C2 + " --stop 1 --steps 3", "start", "-1e-3"),
-            (_SCAN_C2 + " --start 0 --steps 3", "stop", "-90deg"),
-        ],
+        "command, flag", _EACH_FLAG, ids=[f"{c}-{f.lstrip('*')}" for c, f in _EACH_FLAG]
     )
-    def test_negative_values_parse_from_flags_as_from_a_config_file(
-        self, tmp_path, argv, key, value
+    def test_every_flag_parses_from_a_config_file_as_from_the_command_line(
+        self, tmp_path, command, flag
     ):
+        name = flag.lstrip("*")
+        required = [f[1:] for f in _COMMAND_FLAGS[command].split() if f[0] == "*"]
+        argv = [command] + [t for f in required if f != name for t in (f"--{f}", _FLAG_VALUES[f])]
+        value = _FLAG_VALUES[name]
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({key: value}))
-        from_flag = parse_config(argv.split() + [f"--{key}", value])
-        assert from_flag == parse_config(argv.split() + ["--config", str(path)])
+        path.write_text(json.dumps({name: [value] if name == "tol" else value}))
+        from_flag = parse_config(argv + [f"--{name}", value])
+        assert from_flag == parse_config(argv + ["--config", str(path)])
+        if flag == name:  # optional: the value was read, not the default
+            assert from_flag != parse_config(argv)
 
     @pytest.mark.parametrize(
         "argv, r1, r2",
@@ -416,6 +463,30 @@ class TestCommands:
         records = _json_lines(out)
         assert len(records) == 7
         assert [r["param"] for r in records] == ["a.theta"] * 7
+
+    @pytest.mark.parametrize("param", ["a.theta", "c1.phi", "d.theta"])
+    def test_scan_records_echo_the_swept_direction(self, capsys, param):
+        inputs = (
+            "--s 1 --M 0 --a 0.4,1.0 --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2.0 "
+            "--r1 2,-1 --r2 1,0.5"
+        )
+        _, fixed = _run(capsys, f"expect {inputs}".split())
+        (base,) = _json_lines(fixed)
+        # -1 to 7 takes theta below 0 and above pi, and phi past 0 and 2 pi
+        argv = f"scan {inputs} --param {param} --start -1 --stop 7 --steps 9".split()
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        name, _, angle = param.partition(".")
+        swept = (f"{name}_theta", f"{name}_phi")
+        given = Direction(*(base[key] for key in swept))
+        records = _json_lines(out)
+        assert len(records) == 9
+        for record in records:
+            want = dataclasses.replace(given, **{angle: record["value"]})
+            assert tuple(record[key] for key in swept) == (want.theta, want.phi)
+            for key in f"{_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC}".split():
+                assert key in swept or record[key] == base[key]
+        assert len({tuple(r[key] for key in swept) for r in records}) == 9
 
 
 _ECHO_LABEL = "s M a_theta a_phi"

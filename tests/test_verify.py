@@ -73,14 +73,15 @@ def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt
         return true_fn(*args)
 
     def watched(check_name, fn):
-        def run(rng, tol):
+        def run(rng, samples):
             running[0] = check_name
-            return fn(rng, tol)
+            return fn(rng, samples)
 
         return run
 
     monkeypatch.setattr(module, name, faulty)
-    monkeypatch.setattr(verify, "_CHECKS", tuple((n, watched(n, fn)) for n, fn in verify._CHECKS))
+    rows = tuple((n, watched(n, fn), *rest) for n, fn, *rest in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", rows)
     results = verify.run_verification(0)
     assert making == [check]
     assert [r.name for r in results if not r.passed] == [check]
