@@ -149,26 +149,16 @@ def _parse_count(token, field: str, low: int, high: int) -> int:
     return value
 
 
-def _parse_seed(token, field: str) -> int | None:
-    if token is None:
-        return None
+def _parse_seed(token, field: str) -> int:
     seed = _parse_int(token, field)
     if seed < 0:
         raise UsageError(f"{field}: must be non-negative")
     return seed
 
 
-def _parse_format(token, field: str) -> str:
-    if token not in ("json", "csv"):
-        raise UsageError(f"{field}: expected json or csv, got {token!r}")
-    return token
-
-
-def _parse_param(token, field: str) -> str:
-    if token not in _SWEEP_PARAMS:
-        raise UsageError(
-            f"{field}: unknown parameter {token!r}, expected one of " + ", ".join(_SWEEP_PARAMS)
-        )
+def _parse_choice(token, field: str, choices: tuple[str, ...]) -> str:
+    if token not in choices:
+        raise UsageError(f"{field}: expected one of {', '.join(choices)}, got {token!r}")
     return token
 
 
@@ -209,8 +199,6 @@ def _parse_pair(value, field: str, cls):
 
 
 def _parse_tol(entries, field: str) -> dict[str, float]:
-    if entries is None:
-        return {}
     if isinstance(entries, dict):
         items = list(entries.items())
     elif isinstance(entries, list):
@@ -242,15 +230,19 @@ _TOL_HELP = "override one check tolerance (repeatable); NAME is one of " + ", ".
 )
 
 # Every flag, once, as (flag, help, parser, default or REQUIRED[, other
-# add_argument keywords]).  A value comes from the flag, else from the config
-# file, else from the default, and goes through the parser in each case;
-# --config, which names the file, has no parser.  _SUBCOMMANDS says which
-# groups each subcommand takes.
+# add_argument keywords, none of which checks the value]).  A value comes from
+# the flag, else from the config file, where null is a key not given, else
+# from the default; only the row's parser reads it, and a flag left at a None
+# default is not in the inputs.  --config names the file: it has no parser and
+# is no config key.  _SUBCOMMANDS says which groups each subcommand takes.
 _FLAG_GROUPS: dict[str, tuple[tuple, ...]] = {
     "common": (
         ("--config", "JSON file with defaults for any flag", None, None),
-        ("--format", None, _parse_format, "json", {"choices": ("json", "csv")}),
-        ("--seed", None, _parse_seed, None, {"type": int}),
+        (
+            "--format", None, partial(_parse_choice, choices=("json", "csv")), "json",
+            {"metavar": "{json,csv}"},
+        ),
+        ("--seed", None, _parse_seed, None),
     ),
     "label": (
         ("--s", "total spin, 0 or 1", _parse_int, REQUIRED),
@@ -274,13 +266,16 @@ _FLAG_GROUPS: dict[str, tuple[tuple, ...]] = {
         ("--tol", _TOL_HELP, _parse_tol, None, {"action": "append", "metavar": "NAME=VALUE"}),
     ),
     "sweep": (
-        ("--param", "one of " + ", ".join(_SWEEP_PARAMS), _parse_param, REQUIRED),
+        (
+            "--param", "one of " + ", ".join(_SWEEP_PARAMS),
+            partial(_parse_choice, choices=_SWEEP_PARAMS), REQUIRED,
+        ),
         ("--start", None, _parse_end, REQUIRED),
         ("--stop", None, _parse_end, REQUIRED),
         ("--steps", None, partial(_parse_count, low=2, high=MAX_STEPS), REQUIRED),
     ),
 }
-_FLAG_NAMES = {row[0][2:] for rows in _FLAG_GROUPS.values() for row in rows}
+_CONFIG_KEYS = {row[0][2:] for rows in _FLAG_GROUPS.values() for row in rows if row[2]}
 
 
 def _rows(command: str) -> list[tuple]:
@@ -333,26 +328,25 @@ def parse_config(argv=None) -> RunConfig:
     args = vars(_build_parser(argv).parse_args(argv))
     command = args["command"]
     file_cfg = _load_config_file(args["config"]) if args["config"] else {}
-    unknown = [key for key in file_cfg if key not in _FLAG_NAMES]
+    unknown = [key for key in file_cfg if key not in _CONFIG_KEYS]
     if unknown:
         raise UsageError(f"--config: unknown key {unknown[0]!r}")
-    # Keys of flags that only other subcommands take are left unread, and a
-    # null in the file leaves a required flag missing.
+    # Keys of flags that only other subcommands take are left unread.
     given, missing = [], []
     for flag, _, parse, default, *_ in _rows(command):
-        value = args[flag[2:]]
-        if value is None:
-            value = file_cfg.get(flag[2:], default)
-        if value is REQUIRED or value is None and default is REQUIRED:
+        name = flag[2:]
+        value = args[name] if args[name] is not None else file_cfg.get(name)
+        value = default if value is None else value
+        if value is REQUIRED:
             missing.append(flag)
-        elif parse:
+        elif parse and value is not None:
             given.append((flag, parse, value))
     if missing:
         *rest, last = missing
         names = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
         raise UsageError(f"{names} required for {command}")
     inputs = {flag[2:]: parse(value, flag) for flag, parse, value in given}
-    output_format, seed = inputs.pop("format"), inputs.pop("seed")
+    output_format, seed = inputs.pop("format"), inputs.pop("seed", None)
 
     if "s" in inputs:
         # CompoundLabel's own messages name s and M, so they carry no prefix.
@@ -460,26 +454,15 @@ def _echo(config: RunConfig) -> dict[str, Any]:
     return out
 
 
-def _metadata(config: RunConfig, timestamp: str) -> dict[str, Any]:
-    return {"version": __version__, "seed": config.seed, "timestamp": timestamp}
+def _record(config: RunConfig, head=None, **results) -> dict[str, Any]:
+    """One output record: command, ``head``, input echo, results."""
+    return {"command": config.command, **(head or {}), **_echo(config), **results}
 
 
-def _record(config: RunConfig, timestamp: str, head=None, **results) -> dict[str, Any]:
-    """One output record: command, ``head``, input echo, results, metadata."""
-    return {
-        "command": config.command,
-        **(head or {}),
-        **_echo(config),
-        **results,
-        **_metadata(config, timestamp),
-    }
-
-
-def _cmd_state(config: RunConfig, timestamp: str):
+def _cmd_state(config: RunConfig):
     asm = assemble_state(config.label, config.inputs["d"], config.inputs["f"])
     record = _record(
         config,
-        timestamp,
         coefficients=np.array([t.coefficient for t in asm.terms]),
         tensor=asm.tensor,
         norm_sq=float(np.vdot(asm.tensor, asm.tensor).real),
@@ -487,14 +470,14 @@ def _cmd_state(config: RunConfig, timestamp: str):
     return [record], EXIT_OK
 
 
-def _cmd_operator(config: RunConfig, timestamp: str):
+def _cmd_operator(config: RunConfig):
     r1, r2 = operator_pair(config.spec, config.inputs["d"], config.inputs["f"])
-    return [_record(config, timestamp, r1=r1, r2=r2)], EXIT_OK
+    return [_record(config, r1=r1, r2=r2)], EXIT_OK
 
 
-def _cmd_probabilities(config: RunConfig, timestamp: str):
+def _cmd_probabilities(config: RunConfig):
     p = outcome_probabilities(config.label, config.spec.c1, config.spec.c2)
-    return [_record(config, timestamp, probabilities=p, prob_sum=float(np.sum(p)))], EXIT_OK
+    return [_record(config, probabilities=p, prob_sum=float(np.sum(p)))], EXIT_OK
 
 
 def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
@@ -509,21 +492,20 @@ def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
     }
 
 
-def _cmd_expect(config: RunConfig, timestamp: str):
+def _cmd_expect(config: RunConfig):
     rng = np.random.default_rng(config.seed)  # None only for --grid 1: no draws
     draw, n = verify_mod._draw, config.inputs["grid"] - 1
     ds = [config.inputs["d"]] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
     fs = [config.inputs["f"]] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
     results = _correlation(config, [(d, f) for d in ds for f in fs])
-    return [_record(config, timestamp, **results)], EXIT_OK
+    return [_record(config, **results)], EXIT_OK
 
 
-def _cmd_verify(config: RunConfig, timestamp: str):
-    results = verify_mod.run_verification(config.seed, config.inputs["tol"])
+def _cmd_verify(config: RunConfig):
+    results = verify_mod.run_verification(config.seed, config.inputs.get("tol"))
     records = [
         _record(
             config,
-            timestamp,
             check=res.name,
             samples=res.samples,
             max_residual=res.max_residual,
@@ -540,14 +522,14 @@ def _cmd_verify(config: RunConfig, timestamp: str):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
-def _cmd_scan(config: RunConfig, timestamp: str):
+def _cmd_scan(config: RunConfig):
     inputs, param = config.inputs, config.inputs["param"]
     name, _, angle = param.partition(".")
     records = []
     for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
         point = replace(config, inputs={**inputs, name: replace(inputs[name], **{angle: value})})
         results = _correlation(point, [(point.inputs["d"], point.inputs["f"])])
-        records.append(_record(point, timestamp, {"param": param, "value": value}, **results))
+        records.append(_record(point, {"param": param, "value": value}, **results))
     return records, EXIT_OK
 
 
@@ -565,16 +547,20 @@ _SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 
 def run(config: RunConfig) -> int:
     """Execute a parsed RunConfig, writing records to stdout."""
-    timestamp = datetime.now(timezone.utc).isoformat()
-    records, code = _SUBCOMMANDS[config.command][0](config, timestamp)
-    _write(records, config.output_format)
+    records, code = _SUBCOMMANDS[config.command][0](config)
+    _write(records, config)
     return code
 
 
-def _write(records, output_format: str) -> None:
-    """Emit records to stdout; once the reader has gone, write nothing more."""
+def _write(records, config: RunConfig) -> None:
+    """Stamp every record with the package version, the run's seed and one
+    timestamp, and emit them to stdout; once the reader has gone, write
+    nothing more."""
+    now = datetime.now(timezone.utc).isoformat()
+    for record in records:
+        record.update(version=__version__, seed=config.seed, timestamp=now)
     try:
-        emit_records(records, output_format, sys.stdout)
+        emit_records(records, config.output_format, sys.stdout)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit
     except BrokenPipeError:
         # Python flushes stdout again at exit: point its descriptor at
@@ -597,13 +583,8 @@ def main(argv=None) -> int:
     try:
         return run(config)
     except InternalConsistencyError as exc:
-        record = {
-            "command": config.command,
-            "error": "internal-consistency",
-            "detail": str(exc),
-            **_metadata(config, datetime.now(timezone.utc).isoformat()),
-        }
-        _write([record], config.output_format)
+        record = {"command": config.command, "error": "internal-consistency", "detail": str(exc)}
+        _write([record], config)
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -14,9 +14,11 @@ class Direction:
 
     Out-of-range input is reduced using the spherical identifications
     (theta + 2*pi, phi) ~ (theta, phi) and (-theta, phi) ~ (theta, phi + pi),
-    so after construction theta lies in [0, pi] and phi in [0, 2*pi).  The
-    reduction is idempotent.  At the poles the azimuth is kept as given; it
-    only ever enters the amplitude kernels as a phase.
+    so after construction theta lies in [0, pi] and phi in [0, 2*pi), and
+    neither is -0.0.  The reduction is idempotent.  At the poles the azimuth
+    is kept as given, as a phase convention: along (0, phi) every pair state
+    (s, M) is exp(-1j*M*phi) times the state along (0, 0), so directions that
+    differ only there compare unequal on purpose.
     """
 
     theta: float
@@ -38,8 +40,9 @@ class Direction:
             phi += TWO_PI
         if phi >= TWO_PI:  # fmod can land on the period itself after rounding
             phi = 0.0
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        # fmod keeps the sign of a zero; + 0.0 makes -0.0 print as 0.0
+        object.__setattr__(self, "theta", theta + 0.0)
+        object.__setattr__(self, "phi", phi + 0.0)
 
 
 Z_AXIS = Direction(0.0, 0.0)

@@ -101,7 +101,8 @@ def reduce_axis_aligned(
     coupling pattern (single terms for M = +-1, symmetric and antisymmetric
     1/sqrt(2) combinations for (1, 0) and (0, 0)), so the assembly reduces
     to fixed combinations of eta products.  Raises ValueError when the
-    label's axis is not exactly (0, 0).
+    label's axis is not exactly (0, 0): an axis (0, phi) gives the same state
+    times the phase exp(-1j*M*phi) (see Direction), so it is rejected.
     """
     if label.axis != Z_AXIS:
         raise ValueError(
@@ -114,8 +115,10 @@ def gram_matrix(states: Sequence[StateAssembly]) -> np.ndarray:
     """Matrix of pairwise inner products, conjugate-linear in the first slot.
 
     All states must share the quantization axis and both intermediate
-    directions.  For the four states (1, +1), (1, 0), (1, -1), (0, 0) on a
-    common axis the result is the 4x4 identity to rounding.
+    directions, compared as exact angles: at a pole, axes that differ in phi
+    give states that differ by a phase (see Direction).  For the four states
+    (1, +1), (1, 0), (1, -1), (0, 0) on a common axis the result is the 4x4
+    identity to rounding.
     """
     if not states:
         raise ValueError("gram_matrix needs at least one state")

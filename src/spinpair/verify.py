@@ -104,37 +104,30 @@ def _check_zeta_normalization(rng, samples):
     return 3 * samples, _norm_gaps(z)
 
 
-def _check_clebsch_gordan_table(rng, samples):
-    cg = kernels.clebsch_gordan_half_half
-    expected = [
-        (1, 1, PLUS, PLUS, 1.0),
-        (1, 1, PLUS, MINUS, 0.0),
-        (1, 1, MINUS, PLUS, 0.0),
-        (1, 1, MINUS, MINUS, 0.0),
-        (1, 0, PLUS, PLUS, 0.0),
-        (1, 0, PLUS, MINUS, SQRT_HALF),
-        (1, 0, MINUS, PLUS, SQRT_HALF),
-        (1, 0, MINUS, MINUS, 0.0),
-        (1, -1, PLUS, PLUS, 0.0),
-        (1, -1, PLUS, MINUS, 0.0),
-        (1, -1, MINUS, PLUS, 0.0),
-        (1, -1, MINUS, MINUS, 1.0),
-        (0, 0, PLUS, PLUS, 0.0),
-        (0, 0, PLUS, MINUS, SQRT_HALF),
-        (0, 0, MINUS, PLUS, -SQRT_HALF),
-        (0, 0, MINUS, MINUS, 0.0),
+# The Clebsch–Gordan coefficients of (1, 1), (1, 0), (1, -1), (0, 0), one row
+# each over B_INDEX_ORDER.
+_CG_TABLE = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
     ]
-    gaps = [cg(s, M, m1, m2) - want for s, M, m1, m2, want in expected]
-    return len(expected), gaps
+)
+
+
+def _cg_table() -> np.ndarray:
+    """The kernel's coefficients, laid out as _CG_TABLE."""
+    cg = kernels.clebsch_gordan_half_half
+    return np.array([[cg(s, M, m1, m2) for m1, m2 in B_INDEX_ORDER] for s, M in _LABELS])
+
+
+def _check_clebsch_gordan_table(rng, samples):
+    return _CG_TABLE.size, _cg_table() - _CG_TABLE
 
 
 def _check_clebsch_gordan_orthonormality(rng, samples):
-    rows = []
-    for s, M in _LABELS:
-        rows.append(
-            [kernels.clebsch_gordan_half_half(s, M, m1, m2) for m1, m2 in B_INDEX_ORDER]
-        )
-    t = np.array(rows)
+    t = _cg_table()
     return samples, t @ t.T - np.eye(4)
 
 
@@ -171,15 +164,10 @@ def _check_state_orthonormality(rng, samples):
 
 
 # The z-axis states (1, 1), (1, 0), (1, -1), (0, 0), one row each over
-# B_INDEX_ORDER: their tensors in the z basis and their coefficients.
-_STANDARD_PATTERNS = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
-    ]
-)
+# B_INDEX_ORDER: their tensors in the z basis and their coefficients.  They
+# are the coupling coefficients, with the sign the spin-1 direction change
+# along the z axis puts on (1, -1).
+_STANDARD_PATTERNS = _CG_TABLE * [[1.0], [1.0], [-1.0], [1.0]]
 
 
 def _check_standard_form_states(rng, samples):

@@ -50,7 +50,24 @@ _COMMAND_FLAGS = {
     "scan": "format seed *s *M a d f *c1 *c2 r1 r2 *param *start *stop *steps",
 }
 _EACH_FLAG = [(c, f) for c, flags in _COMMAND_FLAGS.items() for f in flags.split()]
+_each_flag = pytest.mark.parametrize(
+    "command, flag", _EACH_FLAG, ids=[f"{c}-{f.lstrip('*')}" for c, f in _EACH_FLAG]
+)
 _HELP_PAGES = pathlib.Path(__file__).parent / "help_pages"
+
+
+def _argv_without(command, name):
+    """``command`` with every required flag but ``name``."""
+    required = [f[1:] for f in _COMMAND_FLAGS[command].split() if f[0] == "*"]
+    return [command] + [t for f in required if f != name for t in (f"--{f}", _FLAG_VALUES[f])]
+
+
+def _outcome(argv):
+    """parse_config's RunConfig for ``argv``, or its usage error message."""
+    try:
+        return parse_config(argv)
+    except UsageError as exc:
+        return str(exc)
 
 
 def _strip_timestamps(text):
@@ -185,11 +202,12 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config([command, "--config", str(path)])
 
-    def test_unknown_config_key_names_the_key(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["r_1", "config"])  # a file names no other file
+    def test_unknown_config_key_names_the_key(self, capsys, tmp_path, key):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r_1": "2,0"}))
+        path.write_text(json.dumps({"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", key: "2,0"}))
         assert main(["expect", "--config", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: --config: unknown key 'r_1'\n"
+        assert capsys.readouterr().err == f"error: --config: unknown key {key!r}\n"
 
     def test_config_keys_of_other_subcommands_are_not_read(self, capsys, tmp_path):
         # probabilities takes no --r1, so a shared file's r1 is never parsed
@@ -222,6 +240,7 @@ class TestParsing:
             (_SCAN_C2 + " --start 0 --stop 1", "--steps is"),
             ("expect --c1 0,0 --c2 0,0", "--s and --M are"),
             ("scan --s 0 --c2 0,0 --stop 1", "--M, --c1, --param, --start and --steps are"),
+            ("expect --seed abc --format xml --c1 0,0 --c2 0,0", "--s and --M are"),
         ],
     )
     def test_one_message_names_exactly_the_missing_flags(self, capsys, argv, missing):
@@ -264,14 +283,42 @@ class TestParsing:
         assert capsys.readouterr().err == "error: --seed: must be non-negative\n"
 
     @pytest.mark.parametrize(
-        "command, flag", _EACH_FLAG, ids=[f"{c}-{f.lstrip('*')}" for c, f in _EACH_FLAG]
+        "command, name, value, message",
+        [
+            ("verify", "seed", "abc", "--seed: malformed integer 'abc'"),
+            ("expect", "format", "xml", "--format: expected one of json, csv, got 'xml'"),
+            (
+                "scan", "param", "bogus",
+                "--param: expected one of a.theta, a.phi, c1.theta, c1.phi, c2.theta, c2.phi, "
+                "d.theta, d.phi, f.theta, f.phi, got 'bogus'",
+            ),
+        ],
     )
+    def test_a_malformed_value_reads_alike_from_a_flag_and_a_config_file(
+        self, capsys, tmp_path, command, name, value, message
+    ):
+        argv = _argv_without(command, name)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: value}))
+        for run in (argv + [f"--{name}", value], argv + ["--config", str(path)]):
+            assert main(run) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @_each_flag
+    def test_a_config_null_is_a_key_not_given(self, tmp_path, command, flag):
+        # an optional flag takes its default, a required one is missing
+        name = flag.lstrip("*")
+        argv = _argv_without(command, name)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: None}))
+        assert _outcome(argv + ["--config", str(path)]) == _outcome(argv)
+
+    @_each_flag
     def test_every_flag_parses_from_a_config_file_as_from_the_command_line(
         self, tmp_path, command, flag
     ):
         name = flag.lstrip("*")
-        required = [f[1:] for f in _COMMAND_FLAGS[command].split() if f[0] == "*"]
-        argv = [command] + [t for f in required if f != name for t in (f"--{f}", _FLAG_VALUES[f])]
+        argv = _argv_without(command, name)
         value = _FLAG_VALUES[name]
         path = tmp_path / "run.json"
         path.write_text(json.dumps({name: [value] if name == "tol" else value}))
@@ -463,6 +510,15 @@ class TestCommands:
         records = _json_lines(out)
         assert len(records) == 7
         assert [r["param"] for r in records] == ["a.theta"] * 7
+
+    def test_signed_zeros_print_as_zeros(self, capsys):
+        outs = set()
+        for angles in ("-0,0", "0,-0", "-360deg,0", "0,0"):
+            argv = f"state --s 1 --M -1 --a {angles} --d {angles} --f 0.3,0.2".split()
+            code, out = _run(capsys, argv)
+            assert code == EXIT_OK
+            outs.add(_strip_timestamps(out))
+        assert len(outs) == 1 and "-0.0" not in outs.pop()
 
     @pytest.mark.parametrize("param", ["a.theta", "c1.phi", "d.theta"])
     def test_scan_records_echo_the_swept_direction(self, capsys, param):

@@ -40,6 +40,12 @@ class TestCanonicalization:
     def test_full_turn_is_dropped(self):
         assert Direction(TWO_PI, 0.5) == Direction(0.0, 0.5)
 
+    @pytest.mark.parametrize("theta, phi", [(-0.0, -0.0), (-TWO_PI, 0.0)])
+    def test_no_angle_is_negative_zero(self, theta, phi):
+        # fmod keeps the sign of a zero, which would print as -0.0
+        d = Direction(theta, phi)
+        assert math.copysign(1.0, d.theta) == math.copysign(1.0, d.phi) == 1.0
+
     def test_pole_keeps_azimuth(self):
         assert Direction(0.0, 1.25).phi == 1.25
         assert Direction(math.pi, 4.0).phi == 4.0

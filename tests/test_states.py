@@ -84,6 +84,18 @@ class TestAxisAlignedReduction:
         with pytest.raises(ValueError):
             reduce_axis_aligned(label, Z_AXIS, Z_AXIS)
 
+    def test_a_pole_azimuth_is_a_phase(self, rng):
+        # why an axis (0, phi) is no z axis here: the same state times
+        # exp(-i M phi), which gram_matrix's exact comparison keeps apart too
+        for _ in range(25):
+            phi, d, f = 2.0 * math.pi * rng.random(), draw_direction(rng), draw_direction(rng)
+            for label in four_labels(Direction(0.0, phi)):
+                want = cmath.exp(-1j * label.M * phi) * assemble_state(
+                    CompoundLabel(label.s, label.M, Z_AXIS), d, f
+                ).tensor
+                got = assemble_state(label, d, f).tensor
+                assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_matches_general_assembly(self, rng):
         d, f = draw_direction(rng), draw_direction(rng)
         for label in four_labels(Z_AXIS):

@@ -85,3 +85,18 @@ def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt
     results = verify.run_verification(0)
     assert making == [check]
     assert [r.name for r in results if not r.passed] == [check]
+
+
+@pytest.mark.parametrize("s, M, slot", [(1, 0, 1), (1, 0, 2), (0, 0, 1), (0, 0, 2)])
+def test_a_flipped_coupling_sign_fails_both_clebsch_gordan_checks(monkeypatch, s, M, slot):
+    # each of these signs alone keeps every row a unit vector but makes
+    # (1, 0) and (0, 0) overlap, and the table pins it too
+    row = list(kernels_mod._CG_ROWS[(s, M)])
+    row[slot] = -row[slot]
+    monkeypatch.setitem(kernels_mod._CG_ROWS, (s, M), tuple(row))
+    rng = np.random.default_rng(0)
+    checks = [row for row in verify._CHECKS if row[0].startswith("clebsch_gordan_")]
+    assert len(checks) == 2
+    for name, check, samples, tol in checks:
+        _, residuals = check(rng, samples)
+        assert np.max(np.abs(residuals)) > tol, name
