@@ -35,7 +35,6 @@ from .operators import (
     OutcomeValues,
     operator_pair,
     r_matrix,
-    spin_projection_operator,
 )
 from .expectation import (
     ExpectationReport,
@@ -48,7 +47,7 @@ from .expectation import (
     singlet_expectation,
     verify_basis_invariance,
 )
-from .verify import CheckResult, DEFAULT_TOLERANCES, check_names, run_verification
+from .verify import CheckResult, DEFAULT_TOLERANCES, run_verification
 
 __all__ = [
     "__version__",
@@ -75,7 +74,6 @@ __all__ = [
     "SPIN_PROJECTION_VALUES",
     "MeasurementSpec",
     "r_matrix",
-    "spin_projection_operator",
     "operator_pair",
     "ExpectationReport",
     "InternalConsistencyError",
@@ -88,6 +86,5 @@ __all__ = [
     "chsh_value",
     "CheckResult",
     "DEFAULT_TOLERANCES",
-    "check_names",
     "run_verification",
 ]

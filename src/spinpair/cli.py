@@ -111,6 +111,8 @@ class RunConfig:
 
 
 def _parse_float(token, field: str) -> float:
+    if isinstance(token, bool):  # a JSON true is not the number 1
+        raise UsageError(f"{field}: malformed number {token!r}")
     try:
         return float(token)
     except (TypeError, ValueError, OverflowError):  # OverflowError: huge JSON ints
@@ -226,7 +228,7 @@ _parse_values = partial(_parse_pair, cls=OutcomeValues)
 
 _GRID_HELP = "sample an NxN grid of intermediate pairs for the invariance residual"
 _TOL_HELP = "override one check tolerance (repeatable); NAME is one of " + ", ".join(
-    verify_mod.check_names()
+    verify_mod.DEFAULT_TOLERANCES
 )
 
 # Every flag, once, as (flag, help, parser, default or REQUIRED[, other

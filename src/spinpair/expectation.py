@@ -77,10 +77,9 @@ def amplitude_psi(
     """Joint amplitude for outcomes (u, v) along (c1, c2)."""
     x1 = xi_half(Z_AXIS, c1).tolist()
     x2 = xi_half(Z_AXIS, c2).tolist()
-    i, j = u.index, v.index
     total = 0j
     for m1, m2 in B_INDEX_ORDER:
-        total += chi(label, m1, m2) * x1[m1.index][i] * x2[m2.index][j]
+        total += chi(label, m1, m2) * x1[m1][u] * x2[m2][v]
     return total
 
 
@@ -103,7 +102,7 @@ def expectation_oracle(label: CompoundLabel, spec: MeasurementSpec) -> float:
     r2 = spec.values2.as_array()
     total = 0.0
     for k, (u, v) in enumerate(B_INDEX_ORDER):
-        total += p[k] * r1[u.index] * r2[v.index]
+        total += p[k] * r1[u] * r2[v]
     return total
 
 

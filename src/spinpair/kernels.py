@@ -2,7 +2,7 @@
 
 Everything in this module is a transition table between projection labels.
 ``xi_half`` is the spin-1/2 direction-change matrix that the rest of the
-package is built from, ``eta_from_z`` selects its rows for a z-axis start,
+package is built from, ``eta_from_z`` reads one of its rows for a z-axis start,
 ``zeta_spin1`` is the spin-1 analogue used for the total spin of a coupled
 pair, ``clebsch_gordan_half_half`` couples two spin-1/2 projections, and
 ``chi`` composes the last two into coupling coefficients referred to an
@@ -17,29 +17,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
-from .directions import Direction
+from .directions import Direction, Z_AXIS
 
 SQRT_HALF = math.sqrt(0.5)
 
 
-class SpinHalfLabel(Enum):
+class SpinHalfLabel(IntEnum):
     """Spin projection +1/2 (PLUS) or -1/2 (MINUS) along a stated direction.
 
-    The enum value doubles as the row/column index used throughout, so the
-    amplitude matrices are always ordered (plus, minus).
+    A label is its own row/column index, so the amplitude matrices are
+    always ordered (plus, minus).
     """
 
     PLUS = 0
     MINUS = 1
-
-    def __init__(self, value: int) -> None:
-        # A plain attribute, not a property: the amplitude loops read it on
-        # every term.
-        self.index = value
 
     @property
     def m(self) -> float:
@@ -119,20 +114,12 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
 def eta_from_z(m: SpinHalfLabel, final: Direction) -> np.ndarray:
     """Amplitude pair from a z-axis projection ``m`` to both ``final`` outcomes.
 
-    Equals the corresponding row of ``xi_half(Z_AXIS, final)``:
+    Row m of ``xi_half(Z_AXIS, final)``, as a copy:
     (cos(theta/2), -sin(theta/2)) for plus and
     (sin(theta/2), cos(theta/2)) * exp(-i phi) for minus.  Each pair has
     unit norm.
     """
-    return np.array(_eta_rows(final)[m.index])
-
-
-def _eta_rows(final: Direction) -> tuple[list[complex], list[complex]]:
-    """Both ``eta_from_z`` pairs, (plus, minus), as Python complex lists."""
-    c = math.cos(final.theta / 2.0)
-    s = math.sin(final.theta / 2.0)
-    w = cmath.exp(-1j * final.phi)
-    return [c + 0j, -s + 0j], [s * w, c * w]
+    return xi_half(Z_AXIS, final)[m].copy()
 
 
 _M_SPIN1 = (1, 0, -1)
@@ -182,7 +169,7 @@ def clebsch_gordan_half_half(
     row = _CG_ROWS.get((s, M))
     if row is None:
         raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}")
-    return row[2 * m1.index + m2.index]
+    return row[2 * m1 + m2]
 
 
 def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
@@ -199,13 +186,8 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     """
     if label.s == 0:
         return complex(clebsch_gordan_half_half(0, 0, m1, m2))
-    return _spin1_chi(zeta_spin1(label.M, label.axis).tolist(), m1, m2)
-
-
-def _spin1_chi(zeta: list[complex], m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
-    """The s = 1 sum of ``chi``, over a ``zeta_spin1`` triple given as a list."""
     total = 0j
-    for zl, ml in zip(zeta, _M_SPIN1):
+    for zl, ml in zip(zeta_spin1(label.M, label.axis).tolist(), _M_SPIN1):
         total += zl * clebsch_gordan_half_half(1, ml, m1, m2)
     return total
 
@@ -215,8 +197,8 @@ def _chi_row(label: CompoundLabel) -> list[complex]:
     if label.s == 0:
         return [chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER]
     zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
-    # _spin1_chi with the table read directly: column k of the M = +1, 0, -1
-    # rows of _CG_ROWS is slot k of B_INDEX_ORDER, and the terms go onto 0j
-    # in the same order, so each entry is == to chi(label, m1, m2).
+    # chi's s = 1 sum with the table read directly: column k of the
+    # M = +1, 0, -1 rows of _CG_ROWS is slot k of B_INDEX_ORDER, and the terms
+    # go onto 0j in the same order, so each entry is == to chi(label, m1, m2).
     columns = zip(*(_CG_ROWS[(1, ml)] for ml in _M_SPIN1))
     return [0j + zp * gp + z0 * g0 + zm * gm for gp, g0, gm in columns]

@@ -38,7 +38,8 @@ class OutcomeValues:
             v = float(v)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            # + 0.0 makes -0.0 print as 0.0, as Direction does for its angles
+            object.__setattr__(self, name, v + 0.0)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r_plus, self.r_minus])
@@ -84,16 +85,6 @@ def r_matrix(
             [y10 * x00 + y11 * x01, y10 * x10 + y11 * x11],
         ]
     )
-
-
-def spin_projection_operator(intermediate: Direction, measured: Direction) -> np.ndarray:
-    """The values (+1, -1) special case of ``r_matrix``.
-
-    In the z basis (intermediate at the pole) it takes the familiar form
-    ((cos t, sin t e^{-ip}), (sin t e^{ip}, -cos t)) for a measurement
-    along (t, p).
-    """
-    return r_matrix(intermediate, measured, SPIN_PROJECTION_VALUES)
 
 
 def operator_pair(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, _eta_rows
+from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, xi_half
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -57,14 +57,15 @@ def _tensor(
     """The tensor of the state (s, M) in the (d, f) basis, with its parts.
 
     Returns (tensor, coefficients, eta1, eta2): the coefficients are the
-    ``chi`` values over B_INDEX_ORDER and row m of eta1 (eta2) is
+    ``chi`` values over B_INDEX_ORDER, and eta1 (eta2) is
+    ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``), whose row m is
     ``eta_from_z(m, d)`` (``eta_from_z(m, f)``).  The tensor is the sum of
     ``coefficient_k * np.kron(eta1[m1_k], eta2[m2_k])`` term by term in
     B_INDEX_ORDER.
     """
     coefficients = _chi_row(label)
-    eta1 = np.array(_eta_rows(d))
-    eta2 = np.array(_eta_rows(f))
+    eta1 = xi_half(Z_AXIS, d)
+    eta2 = xi_half(Z_AXIS, f)
     # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
     # the kron components both run first index major, so one broadcast outer
     # product, reshaped, lines the terms up in order.
@@ -86,7 +87,7 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
     eta1, eta2 = _readonly(eta1), _readonly(eta2)
     terms = tuple(
-        StateTerm(c, eta1[m1.index], eta2[m2.index])
+        StateTerm(c, eta1[m1], eta2[m2])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
     return StateAssembly(label, d, f, terms, _readonly(tensor))

@@ -350,10 +350,6 @@ _CHECKS = (
 DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, _, _, tol in _CHECKS}
 
 
-def check_names() -> tuple[str, ...]:
-    return tuple(name for name, *_ in _CHECKS)
-
-
 def run_verification(
     seed: int = 0, overrides: dict[str, float] | None = None
 ) -> list[CheckResult]:

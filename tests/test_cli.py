@@ -15,7 +15,7 @@ import pytest
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
 from spinpair import Direction, expectation_matrix
-from spinpair.verify import check_names
+from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -154,6 +154,9 @@ class TestParsing:
             "verify --seed -1",
             "expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 2 --seed -5",
             "state --s 0 --M 0 --seed -3",
+            "expect --s 0 --M 0 --c1 1,2,3 --c2 0,0",
+            "verify --tol kernel_unitarity",
+            "verify --config missing-dir/run.json",
         ],
     )
     def test_malformed_invocations(self, argv):
@@ -190,10 +193,17 @@ class TestParsing:
             ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r_1": "2,0"}'),
             ("verify", b'{"seed": -1}'),
             ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "grid": 2, "seed": -5}'),
+            ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r1": [true, false]}'),
+            ("expect", b'{"s": 0, "M": 0, "c1": "0,0", "c2": "1,0", "r2": {"plus": false}}'),
+            ("verify", b'{"tol": {"kernel_unitarity": true}}'),
+            ("verify", b"[1, 2]"),
+            ("expect", b'{"s": 0, "M": 0, "c1": {"theta": 0, "psi": 1}, "c2": "1,0"}'),
+            ("expect", b'{"s": 0, "M": 0, "c1": 5, "c2": "1,0"}'),
         ],
         ids=[
             "tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8",
-            "unknown-key", "seed-negative-verify", "seed-negative-expect",
+            "unknown-key", "seed-negative-verify", "seed-negative-expect", "r1-booleans",
+            "r2-boolean", "tol-boolean", "top-level-list", "c1-unknown-key", "c1-number",
         ],
     )
     def test_malformed_config_files(self, tmp_path, command, body):
@@ -357,7 +367,7 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         out = capsys.readouterr().out
-        missing = [name for name in check_names() if name not in out]
+        missing = [name for name in DEFAULT_TOLERANCES if name not in out]
         assert not missing
 
     def test_unknown_command_exits_one(self, capsys):
@@ -512,13 +522,18 @@ class TestCommands:
         assert [r["param"] for r in records] == ["a.theta"] * 7
 
     def test_signed_zeros_print_as_zeros(self, capsys):
-        outs = set()
-        for angles in ("-0,0", "0,-0", "-360deg,0", "0,0"):
-            argv = f"state --s 1 --M -1 --a {angles} --d {angles} --f 0.3,0.2".split()
-            code, out = _run(capsys, argv)
-            assert code == EXIT_OK
-            outs.add(_strip_timestamps(out))
-        assert len(outs) == 1 and "-0.0" not in outs.pop()
+        # angles, and outcome values
+        cases = (
+            ("state --s 1 --M -1 --a {0} --d {0} --f 0.3,0.2", ("-0,0", "0,-0", "-360deg,0", "0,0")),
+            ("operator --c1 0,0 --c2 1,0 --r1 {0}", ("-0,0.5", "0,0.5")),
+        )
+        for command, zeros in cases:
+            outs = set()
+            for zero in zeros:
+                code, out = _run(capsys, command.format(zero).split())
+                assert code == EXIT_OK
+                outs.add(_strip_timestamps(out))
+            assert len(outs) == 1 and "-0.0" not in outs.pop()
 
     @pytest.mark.parametrize("param", ["a.theta", "c1.phi", "d.theta"])
     def test_scan_records_echo_the_swept_direction(self, capsys, param):

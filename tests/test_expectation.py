@@ -82,7 +82,7 @@ class TestAmplitude:
             x1, x2 = xi_half(Z_AXIS, c1), xi_half(Z_AXIS, c2)
             for u, v in B_INDEX_ORDER:
                 want = SQRT_HALF * (
-                    x1[0, u.index] * x2[1, v.index] - x1[1, u.index] * x2[0, v.index]
+                    x1[0, u] * x2[1, v] - x1[1, u] * x2[0, v]
                 )
                 got = amplitude_psi(SINGLET, c1, c2, u, v)
                 assert abs(got - want) < 1e-14

@@ -12,7 +12,6 @@ from spinpair import (
     Z_AXIS,
     operator_pair,
     r_matrix,
-    spin_projection_operator,
     xi_half,
 )
 from support import directions, draw_direction
@@ -119,20 +118,29 @@ class TestRMatrix:
 
 
 class TestSpinProjection:
-    def test_is_the_unit_values_case(self, rng):
-        d, c = draw_direction(rng), draw_direction(rng)
-        assert np.array_equal(
-            spin_projection_operator(d, c), r_matrix(d, c, OutcomeValues(1.0, -1.0))
-        )
+    def test_z_basis_form(self, rng):
+        # ((cos t, sin t e^{-ip}), (sin t e^{ip}, -cos t)) for a measurement along (t, p)
+        for _ in range(50):
+            c = draw_direction(rng)
+            t, p = c.theta, c.phi
+            want = np.array(
+                [
+                    [math.cos(t), math.sin(t) * np.exp(-1j * p)],
+                    [math.sin(t) * np.exp(1j * p), -math.cos(t)],
+                ]
+            )
+            got = r_matrix(Z_AXIS, c, SPIN_PROJECTION_VALUES)
+            assert np.max(np.abs(got - want)) < OP_TOL
 
     def test_traceless_with_unit_determinant_magnitude(self, rng):
         for _ in range(50):
-            r = spin_projection_operator(draw_direction(rng), draw_direction(rng))
+            d, c = draw_direction(rng), draw_direction(rng)
+            r = r_matrix(d, c, SPIN_PROJECTION_VALUES)
             assert abs(np.trace(r)) < OP_TOL
             assert abs(np.linalg.det(r) + 1.0) < OP_TOL
 
     def test_off_diagonals_are_conjugate(self, rng):
-        r = spin_projection_operator(draw_direction(rng), draw_direction(rng))
+        r = r_matrix(draw_direction(rng), draw_direction(rng), SPIN_PROJECTION_VALUES)
         assert r[1, 0] == pytest.approx(np.conj(r[0, 1]), abs=1e-15)
 
 

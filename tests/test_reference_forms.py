@@ -131,7 +131,7 @@ def test_amplitude_matches_array_indexing(rng):
             for u, v in B_INDEX_ORDER:
                 want = 0j
                 for m1, m2 in B_INDEX_ORDER:
-                    want += chi(label, m1, m2) * x1[m1.index, u.index] * x2[m2.index, v.index]
+                    want += chi(label, m1, m2) * x1[m1, u] * x2[m2, v]
                 assert amplitude_psi(label, c1, c2, u, v) == want
 
 
