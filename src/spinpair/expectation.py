@@ -16,6 +16,7 @@ both facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -155,12 +156,14 @@ def verify_basis_invariance(
 
     The value fields come from the first grid point; the invariance residual
     is the max-min spread of the matrix route over the whole grid (zero for
-    a single-point grid).
+    a single-point grid, NaN if the route gives NaN at any point).
     """
     pairs = list(grid)
     if not pairs:
         raise ValueError("grid of (d, f) pairs must be nonempty")
     values = [expectation_matrix(label, spec, d, f) for d, f in pairs]
+    # max and min skip a NaN unless it comes first, so look for one
+    spread = math.nan if any(map(math.isnan, values)) else max(values) - min(values)
     oracle = expectation_oracle(label, spec)
     probs = outcome_probabilities(label, spec.c1, spec.c2)
     return ExpectationReport(
@@ -168,7 +171,7 @@ def verify_basis_invariance(
         value_oracle_path=oracle,
         probabilities=tuple(float(p) for p in probs),
         residual=abs(values[0] - oracle),
-        basis_invariance_residual=max(values) - min(values),
+        basis_invariance_residual=spread,
     )
 
 

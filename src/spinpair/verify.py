@@ -1,18 +1,20 @@
 """Self-verification sweeps behind the command line ``verify`` entry point.
 
-Each check draws its samples from a shared seeded generator, in one block
-where it can, calls the library once per sample, reduces the residuals over
-all samples as arrays and passes when the worst is within tolerance.
+Each check draws its samples from a generator of its own, seeded from the
+run's seed and the check's row, calls the library once per sample, reduces
+the residuals over all samples as arrays and passes when the worst is within
+tolerance.  The checks run on forked worker processes, one per usable CPU.
 Kernel and engine functions are looked up through their modules at call
 time, so a harness that swaps one out (to confirm the suite notices) does
-not need to reload anything.
+not need to reload anything; forked workers inherit the swap.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 from typing import Iterator
 
 import numpy as np
@@ -239,23 +241,25 @@ def _check_operator_covariance(rng, samples):
 # expectation engine
 
 
-def _random_problem(rng, k: int):
-    """A random label and spec (values on [-2, 2)) and ``k`` more directions.
+def _random_problems(rng, n: int, k: int):
+    """``n`` random labels and specs (values on [-2, 2)), each with ``k`` more directions.
 
-    (s, M) comes from ``rng.integers``, whose draws interleave with the
-    uniform ones, so these checks draw one sample at a time.
+    The labels come from one ``rng.integers`` block and everything else from
+    one ``_draw`` block after it, both drawn before this returns.
     """
-    s, M = _LABELS[rng.integers(0, 4)]
-    fields = 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION]
-    ((axis, c1, c2, p1, m1, p2, m2, *dirs),) = _draw(rng, 1, fields)
-    spec = MeasurementSpec(c1, c2, OutcomeValues(p1, m1), OutcomeValues(p2, m2))
-    return CompoundLabel(s, M, axis), spec, dirs
+    labels = rng.integers(0, 4, n).tolist()
+    rows = _draw(rng, n, 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION])
+
+    def problem(i, axis, c1, c2, p1, m1, p2, m2, *dirs):
+        spec = MeasurementSpec(c1, c2, OutcomeValues(p1, m1), OutcomeValues(p2, m2))
+        return CompoundLabel(*_LABELS[i], axis), spec, dirs
+
+    return (problem(i, *row) for i, row in zip(labels, rows))
 
 
 def _check_oracle_equivalence(rng, samples):
     gaps = []
-    for _ in range(samples):
-        label, spec, (d, f) = _random_problem(rng, 2)
+    for label, spec, (d, f) in _random_problems(rng, samples, 2):
         matrix = expectation.expectation_matrix(label, spec, d, f)
         gaps.append(matrix - expectation.expectation_oracle(label, spec))
     return samples, gaps
@@ -263,8 +267,7 @@ def _check_oracle_equivalence(rng, samples):
 
 def _check_basis_invariance(rng, samples):
     spreads = []
-    for _ in range(samples):
-        label, spec, dirs = _random_problem(rng, 10)
+    for label, spec, dirs in _random_problems(rng, samples, 10):
         grid = product(dirs[:5], dirs[5:])
         report = expectation.verify_basis_invariance(label, spec, grid)
         spreads.append(report.basis_invariance_residual)
@@ -321,9 +324,10 @@ def _check_chsh_extremum(rng, samples):
     return samples, abs(s) - 2.0 * math.sqrt(2.0)
 
 
-# (name, check, samples, tolerance) for each check, in the order they run.
-# A check takes the generator and its sample count and returns the number of
-# samples it reports with its residuals, a number or an array of any shape.
+# (name, check, samples, tolerance) for each check, in the order they are
+# reported.  A check takes its own generator and its sample count and returns
+# the number of samples it reports with its residuals, a number or an array
+# of any shape.
 _CHECKS = (
     ("kernel_unitarity", _check_kernel_unitarity, 1000, 1e-12),
     ("kernel_hermiticity", _check_kernel_hermiticity, 1000, 1e-12),
@@ -350,24 +354,56 @@ _CHECKS = (
 DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, _, _, tol in _CHECKS}
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_check(seed: int, index: int) -> tuple[int, float]:
+    """Row ``index`` of _CHECKS on its own stream: (samples, largest residual).
+
+    The stream is ``np.random.SeedSequence(seed).spawn(len(_CHECKS))[index]``,
+    so a check's draws depend only on the seed and its row.
+    """
+    _, check, samples, _ = _CHECKS[index]
+    # the index-th child of SeedSequence(seed), without spawning the others
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    count, residuals = check(rng, samples)
+    return count, float(np.max(np.abs(residuals)))
+
+
 def run_verification(
     seed: int = 0, overrides: dict[str, float] | None = None
 ) -> list[CheckResult]:
-    """Run every check with a generator seeded once at the start.
+    """Run every check, each on a generator of its own seeded from ``seed``.
 
     ``overrides`` replaces the default tolerance of the named checks.
     Unknown names raise KeyError so a typo cannot silently relax anything.
     A check passes when its largest residual magnitude is within tolerance.
+
+    The checks run on a pool of forked workers, one per usable CPU and at
+    most one per check, which inherit every module attribute as this process
+    holds it.  With one usable CPU, or where ``fork`` does not exist, they
+    run in this process, one after another.  Either way a check's result
+    depends only on the seed, and an exception a check raises is raised here.
     """
+    import multiprocessing  # here, not at the top: it costs every subcommand's start-up
+
     overrides = dict(overrides or {})
     for name in overrides:
         if name not in DEFAULT_TOLERANCES:
             raise KeyError(f"unknown check name {name!r}")
-    rng = np.random.default_rng(seed)
+    jobs = [(seed, index) for index in range(len(_CHECKS))]
+    workers = min(_usable_cpus(), len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        outcomes = list(starmap(_run_check, jobs))
+    else:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            outcomes = pool.starmap(_run_check, jobs, chunksize=1)
     results = []
-    for name, check, samples, _ in _CHECKS:
+    for (name, _, _, _), (count, residual) in zip(_CHECKS, outcomes):
         tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-        count, residuals = check(rng, samples)
-        worst = float(np.max(np.abs(residuals)))
-        results.append(CheckResult(name, count, worst, tol, bool(worst <= tol)))
+        results.append(CheckResult(name, count, residual, tol, bool(residual <= tol)))
     return results

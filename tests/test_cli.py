@@ -14,6 +14,7 @@ import pytest
 
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
+import spinpair.verify as verify_mod
 from spinpair import Direction, expectation_matrix
 from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
@@ -659,6 +660,18 @@ class TestExitContract:
         assert code == EXIT_INTERNAL
         (record,) = _json_lines(captured.out)
         assert record["error"] == "internal-consistency"
+
+    def test_internal_consistency_in_a_verify_worker_exits_three(self, capsys, monkeypatch):
+        def broken_pair(spec, d, f):
+            return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
+
+        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)  # a pool even on one CPU
+        code = main(["verify", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        (record,) = _json_lines(captured.out)
+        assert (record["command"], record["error"]) == ("verify", "internal-consistency")
 
     def test_internal_consistency_record_reports_the_grid_seed(self, capsys, monkeypatch):
         def broken_pair(spec, d, f):

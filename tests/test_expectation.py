@@ -218,6 +218,21 @@ class TestBasisInvarianceReport:
         assert report.basis_invariance_residual < ENGINE_TOL
         assert abs(sum(report.probabilities) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    def test_a_nan_at_any_pair_makes_the_spread_nan(self, rng, monkeypatch, bad):
+        # max and min skip a NaN unless it comes first, which hid it at pairs 1-3
+        true_route, calls = expectation_mod.expectation_matrix, []
+
+        def nan_once(label, spec, d, f):
+            calls.append(None)
+            return math.nan if len(calls) == bad + 1 else true_route(label, spec, d, f)
+
+        monkeypatch.setattr(expectation_mod, "expectation_matrix", nan_once)
+        grid = [(draw_direction(rng), draw_direction(rng)) for _ in range(4)]
+        report = verify_basis_invariance(_random_label(rng), _random_spec(rng), grid)
+        assert len(calls) == 4
+        assert math.isnan(report.basis_invariance_residual)
+
     def test_rejects_an_empty_grid(self, rng):
         with pytest.raises(ValueError):
             verify_basis_invariance(_random_label(rng), _random_spec(rng), [])

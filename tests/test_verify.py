@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,14 +64,15 @@ def _nan(x):
     ids=["xi_half-500", "r_matrix-100", "assemble_state-50", "xi_half-500-nan"],
 )
 def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt, check):
-    # Only the k-th call is wrong; the check that made it must fail, and no other.
+    # Only the k-th call inside the named check is wrong; that check must
+    # fail, and no other.  The calls are counted per check, in whichever
+    # process runs it.
     true_fn = getattr(module, name)
-    calls, running, making = [0], [None], []
+    calls, running = Counter(), [None]
 
     def faulty(*args):
-        calls[0] += 1
-        if calls[0] == k:
-            making.append(running[0])
+        calls[running[0]] += 1
+        if running[0] == check and calls[check] == k:
             return corrupt(true_fn(*args))
         return true_fn(*args)
 
@@ -83,8 +87,87 @@ def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt
     rows = tuple((n, watched(n, fn), *rest) for n, fn, *rest in verify._CHECKS)
     monkeypatch.setattr(verify, "_CHECKS", rows)
     results = verify.run_verification(0)
-    assert making == [check]
     assert [r.name for r in results if not r.passed] == [check]
+
+
+def _alone(seed, row, index):
+    """A _CHECKS row run by itself on stream ``index`` of ``seed``: (samples, worst)."""
+    _, check, samples, _ = row
+    stream = np.random.SeedSequence(seed).spawn(len(verify._CHECKS))[index]
+    count, residuals = check(np.random.default_rng(stream), samples)
+    return count, float(np.max(np.abs(residuals)))
+
+
+def _outcomes(results):
+    return [(r.name, r.samples, r.max_residual) for r in results]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_each_check_runs_alone_on_its_own_stream(seed):
+    results = verify.run_verification(seed)
+    assert [r.name for r in results] == list(verify.DEFAULT_TOLERANCES)
+    for index, (row, result) in enumerate(zip(verify._CHECKS, results)):
+        assert (result.samples, result.max_residual) == _alone(seed, row, index), row[0]
+
+
+def test_replacing_one_check_leaves_the_others_unchanged(monkeypatch):
+    before = _outcomes(verify.run_verification(5))
+
+    def greedy(rng, samples):
+        rng.random(10_000)  # far more draws than the check it replaces
+        return samples, 0.0
+
+    rows = list(verify._CHECKS)
+    index = [row[0] for row in rows].index("zeta_normalization")
+    rows[index] = ("zeta_normalization", greedy, *rows[index][2:])
+    monkeypatch.setattr(verify, "_CHECKS", tuple(rows))
+    after = _outcomes(verify.run_verification(5))
+    assert after[index] == ("zeta_normalization", 100, 0.0)
+    assert after[:index] + after[index + 1 :] == before[:index] + before[index + 1 :]
+
+
+def _recording_pids(monkeypatch):
+    """Make the first check note the pid of the process that runs it."""
+    pids = []
+    (name, fn, *rest), *others = verify._CHECKS
+
+    def noted(rng, samples):
+        pids.append(os.getpid())
+        return fn(rng, samples)
+
+    monkeypatch.setattr(verify, "_CHECKS", ((name, noted, *rest), *others))
+    return pids
+
+
+def test_in_process_mapper_matches_the_pool(monkeypatch):
+    pids = _recording_pids(monkeypatch)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    pooled = verify.run_verification(9, {"chsh_extremum": 1e-3})
+    assert pids == []  # the worker's note stays in the worker
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    in_process = verify.run_verification(9, {"chsh_extremum": 1e-3})
+    assert pids == [os.getpid()]
+    assert in_process == pooled
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_no_child_process_survives_a_run(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    verify.run_verification(1)
+    assert multiprocessing.active_children() == []
+
+    def raising(rng, samples):
+        raise _Boom("check failed to run")
+
+    rows = list(verify._CHECKS)
+    rows[-3] = (rows[-3][0], raising, *rows[-3][2:])
+    monkeypatch.setattr(verify, "_CHECKS", tuple(rows))
+    with pytest.raises(_Boom, match="check failed to run"):
+        verify.run_verification(1)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("s, M, slot", [(1, 0, 1), (1, 0, 2), (0, 0, 1), (0, 0, 2)])
