@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from typing import Any, Callable
@@ -390,48 +390,66 @@ def _json_default(value):
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
-def _flatten(record: dict[str, Any]) -> dict[str, str]:
-    """CSV cells: arrays and lists over indexed columns, complex over _re/_im."""
-    cells: dict[str, str] = {}
+# The CSV text of a scalar cell by its exact type; any other scalar prints as
+# str(value).
+_CELL_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+}
 
-    def add(key: str, value):
+
+def _flatten(record: dict[str, Any]) -> tuple[list[str], list[str]]:
+    """CSV columns and cells: arrays and lists over indexed columns, 2-D ones
+    as <key>_<i><j>, complex numbers over _re/_im, NumPy scalars as Python's."""
+    keys: list[str] = []
+    cells: list[str] = []
+    for key, value in record.items():
+        text = _CELL_TEXT.get(type(value))
+        if text is not None:  # most fields: one plain scalar
+            keys.append(key)
+            cells.append(text(value))
+            continue
         if isinstance(value, np.ndarray) and value.ndim == 2:
-            for (i, j), v in np.ndenumerate(value):
-                add(f"{key}_{i}{j}", v)
+            items = [
+                (f"{key}_{i}{j}", v)
+                for i, row in enumerate(value.tolist())
+                for j, v in enumerate(row)
+            ]
         elif isinstance(value, (list, tuple, np.ndarray)):
-            for i, v in enumerate(value):
-                add(f"{key}_{i}", v)
-        elif isinstance(value, complex):
-            add(f"{key}_re", float(value.real))
-            add(f"{key}_im", float(value.imag))
-        elif isinstance(value, np.generic):
-            add(key, value.item())
-        elif isinstance(value, bool):
-            cells[key] = "true" if value else "false"
-        elif isinstance(value, float):
-            cells[key] = repr(value)
+            items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
         else:
-            cells[key] = "" if value is None else str(value)
-
-    for k, v in record.items():
-        add(k, v)
-    return cells
+            items = [(key, value)]
+        for key_k, v in items:
+            if isinstance(v, np.generic):
+                v = v.item()
+            if isinstance(v, complex):
+                keys += (f"{key_k}_re", f"{key_k}_im")
+                cells += (repr(v.real), repr(v.imag))
+            else:
+                keys.append(key_k)
+                cells.append(_CELL_TEXT.get(type(v), str)(v))
+    return keys, cells
 
 
 def emit_records(records, output_format: str, out) -> None:
     if output_format == "json":
+        encode = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
         for record in records:
-            line = json.dumps(record, separators=(",", ":"), default=_json_default)
-            out.write(line + "\n")
+            out.write(encode(record) + "\n")
         return
-    rows = [_flatten(r) for r in records]
-    header = list(rows[0])
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        if list(row) != header:
+    header = None
+    for record in records:
+        keys, cells = _flatten(record)
+        if header is None:
+            header = keys
+            writer.writerow(header)
+        elif keys != header:
             raise ValueError("records in one CSV stream must share a schema")
-        writer.writerow(row.values())
+        writer.writerow(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +474,9 @@ def _echo(config: RunConfig) -> dict[str, Any]:
     return out
 
 
-def _record(config: RunConfig, head=None, **results) -> dict[str, Any]:
-    """One output record: command, ``head``, input echo, results."""
-    return {"command": config.command, **(head or {}), **_echo(config), **results}
+def _record(config: RunConfig, **results) -> dict[str, Any]:
+    """One output record: command, input echo, results."""
+    return {"command": config.command, **_echo(config), **results}
 
 
 def _cmd_state(config: RunConfig):
@@ -482,9 +500,9 @@ def _cmd_probabilities(config: RunConfig):
     return [_record(config, probabilities=p, prob_sum=float(np.sum(p)))], EXIT_OK
 
 
-def _correlation(config: RunConfig, pairs) -> dict[str, Any]:
+def _correlation(label: CompoundLabel, spec: MeasurementSpec, pairs) -> dict[str, Any]:
     """The expect and scan results: both routes over the (d, f) pairs."""
-    report = verify_basis_invariance(config.label, config.spec, pairs)
+    report = verify_basis_invariance(label, spec, pairs)
     return {
         "value_matrix_path": report.value_matrix_path,
         "value_oracle_path": report.value_oracle_path,
@@ -499,7 +517,7 @@ def _cmd_expect(config: RunConfig):
     draw, n = verify_mod._draw, config.inputs["grid"] - 1
     ds = [config.inputs["d"]] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
     fs = [config.inputs["f"]] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
-    results = _correlation(config, [(d, f) for d in ds for f in fs])
+    results = _correlation(config.label, config.spec, [(d, f) for d in ds for f in fs])
     return [_record(config, **results)], EXIT_OK
 
 
@@ -527,11 +545,33 @@ def _cmd_verify(config: RunConfig):
 def _cmd_scan(config: RunConfig):
     inputs, param = config.inputs, config.inputs["param"]
     name, _, angle = param.partition(".")
+    echo, fixed = _echo(config), inputs[name]
+    label, spec, d, f = config.label, config.spec, inputs["d"], inputs["f"]
     records = []
+    # Per point only the swept direction and the one object holding it change.
     for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
-        point = replace(config, inputs={**inputs, name: replace(inputs[name], **{angle: value})})
-        results = _correlation(point, [(point.inputs["d"], point.inputs["f"])])
-        records.append(_record(point, {"param": param, "value": value}, **results))
+        swept = Direction(value, fixed.phi) if angle == "theta" else Direction(fixed.theta, value)
+        if name == "a":
+            label = CompoundLabel(label.s, label.M, swept)
+        elif name == "c1":
+            spec = MeasurementSpec(swept, spec.c2, spec.values1, spec.values2)
+        elif name == "c2":
+            spec = MeasurementSpec(spec.c1, swept, spec.values1, spec.values2)
+        elif name == "d":
+            d = swept
+        else:
+            f = swept
+        records.append(
+            {
+                "command": config.command,
+                "param": param,
+                "value": value,
+                **echo,
+                f"{name}_theta": swept.theta,
+                f"{name}_phi": swept.phi,
+                **_correlation(label, spec, [(d, f)]),
+            }
+        )
     return records, EXIT_OK
 
 

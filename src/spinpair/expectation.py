@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, SpinHalfLabel, chi, xi_half
+from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SpinHalfLabel, chi, xi_half
 from .operators import (
     MeasurementSpec,
     OutcomeValues,
@@ -78,10 +78,17 @@ def amplitude_psi(
     """Joint amplitude for outcomes (u, v) along (c1, c2)."""
     x1 = xi_half(Z_AXIS, c1).tolist()
     x2 = xi_half(Z_AXIS, c2).tolist()
-    total = 0j
-    for m1, m2 in B_INDEX_ORDER:
-        total += chi(label, m1, m2) * x1[m1][u] * x2[m2][v]
-    return total
+    # column u of x1 and column v of x2, rows (plus, minus) = (m1, m2) labels
+    a_p, a_m = x1[0][u], x1[1][u]
+    b_p, b_m = x2[0][v], x2[1][v]
+    # the terms over (m1, m2) in B_INDEX_ORDER, each onto 0j in turn
+    return (
+        0j
+        + chi(label, PLUS, PLUS) * a_p * b_p
+        + chi(label, PLUS, MINUS) * a_p * b_m
+        + chi(label, MINUS, PLUS) * a_m * b_p
+        + chi(label, MINUS, MINUS) * a_m * b_m
+    )
 
 
 def outcome_probabilities(
@@ -98,13 +105,11 @@ def outcome_probabilities(
 
 def expectation_oracle(label: CompoundLabel, spec: MeasurementSpec) -> float:
     """Expectation value as the probability-weighted sum of value products."""
-    p = outcome_probabilities(label, spec.c1, spec.c2)
-    r1 = spec.values1.as_array()
-    r2 = spec.values2.as_array()
-    total = 0.0
-    for k, (u, v) in enumerate(B_INDEX_ORDER):
-        total += p[k] * r1[u] * r2[v]
-    return total
+    p = outcome_probabilities(label, spec.c1, spec.c2).tolist()
+    r1p, r1m = spec.values1.r_plus, spec.values1.r_minus
+    r2p, r2m = spec.values2.r_plus, spec.values2.r_minus
+    # p[k] * r1(u) * r2(v) over (u, v) in B_INDEX_ORDER, each onto 0.0 in turn
+    return 0.0 + p[0] * r1p * r2p + p[1] * r1p * r2m + p[2] * r1m * r2p + p[3] * r1m * r2m
 
 
 def expectation_matrix(
@@ -169,7 +174,7 @@ def verify_basis_invariance(
     return ExpectationReport(
         value_matrix_path=values[0],
         value_oracle_path=oracle,
-        probabilities=tuple(float(p) for p in probs),
+        probabilities=tuple(probs.tolist()),
         residual=abs(values[0] - oracle),
         basis_invariance_residual=spread,
     )

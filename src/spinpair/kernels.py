@@ -103,10 +103,13 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     cf = math.cos(final.theta / 2.0)
     sf = math.sin(final.theta / 2.0)
     w = cmath.exp(1j * (initial.phi - final.phi))
+    # w * si * sf is (w * si) * sf, so the shared products keep every bit
+    wsi = w * si
+    wci = w * ci
     return np.array(
         [
-            [ci * cf + w * si * sf, -ci * sf + w * si * cf],
-            [-si * cf + w * ci * sf, si * sf + w * ci * cf],
+            [ci * cf + wsi * sf, -ci * sf + wsi * cf],
+            [-si * cf + wci * sf, si * sf + wci * cf],
         ]
     )
 
@@ -122,9 +125,6 @@ def eta_from_z(m: SpinHalfLabel, final: Direction) -> np.ndarray:
     return xi_half(Z_AXIS, final)[m].copy()
 
 
-_M_SPIN1 = (1, 0, -1)
-
-
 def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     """Spin-1 direction-change amplitudes from projection M along ``a``.
 
@@ -132,29 +132,35 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    if M not in _M_SPIN1:
-        raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
     th = a.theta
-    c2 = math.cos(th / 2.0) ** 2
-    s2 = math.sin(th / 2.0) ** 2
     s = math.sin(th)
-    em = cmath.exp(-1j * a.phi)
     ep = cmath.exp(1j * a.phi)
+    em = ep.conjugate()  # == cmath.exp(-1j * a.phi), bit for bit
     if M == 1:
+        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
         return np.array([c2 * em, SQRT_HALF * s + 0j, s2 * ep])
     if M == 0:
         return np.array([-SQRT_HALF * s * em, math.cos(th) + 0j, SQRT_HALF * s * ep])
-    return np.array([-s2 * em, SQRT_HALF * s + 0j, -c2 * ep])
+    if M == -1:
+        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
+        return np.array([-s2 * em, SQRT_HALF * s + 0j, -c2 * ep])
+    raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
 
 
-# Coupling coefficients of the four total-spin labels (s, M), one row each
-# over the joint projection labels in B_INDEX_ORDER.
-_CG_ROWS = {
-    (1, 1): (1.0, 0.0, 0.0, 0.0),
-    (1, 0): (0.0, SQRT_HALF, SQRT_HALF, 0.0),
-    (1, -1): (0.0, 0.0, 0.0, 1.0),
-    (0, 0): (0.0, SQRT_HALF, -SQRT_HALF, 0.0),
+# Coupling coefficients of the four total-spin labels (s, M) by joint
+# projection label, (s, M, m1, m2) -> value; written one row per (s, M) over
+# B_INDEX_ORDER.
+_CG = {
+    (s, M, m1, m2): value
+    for (s, M), row in {
+        (1, 1): (1.0, 0.0, 0.0, 0.0),
+        (1, 0): (0.0, SQRT_HALF, SQRT_HALF, 0.0),
+        (1, -1): (0.0, 0.0, 0.0, 1.0),
+        (0, 0): (0.0, SQRT_HALF, -SQRT_HALF, 0.0),
+    }.items()
+    for (m1, m2), value in zip(B_INDEX_ORDER, row)
 }
+_TOTAL_SPIN_LABELS = {(s, M) for s, M, _, _ in _CG}
 
 
 def clebsch_gordan_half_half(
@@ -165,11 +171,15 @@ def clebsch_gordan_half_half(
     Zero whenever m1 + m2 != M.  The nonzero values are 1 for the stretched
     triplet states, 1/sqrt(2) for both orderings feeding (1, 0), and
     +-1/sqrt(2) for the singlet, the minus sign on the (minus, plus) slot.
+    A label outside (s, M) in {(1, 1), (1, 0), (1, -1), (0, 0)} or m1, m2 in
+    {PLUS, MINUS} raises ValueError.
     """
-    row = _CG_ROWS.get((s, M))
-    if row is None:
-        raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}")
-    return row[2 * m1 + m2]
+    try:
+        return _CG[s, M, m1, m2]
+    except KeyError:
+        if (s, M) not in _TOTAL_SPIN_LABELS:
+            raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}") from None
+        raise ValueError(f"invalid projection labels m1={m1!r}, m2={m2!r}") from None
 
 
 def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
@@ -186,10 +196,14 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     """
     if label.s == 0:
         return complex(clebsch_gordan_half_half(0, 0, m1, m2))
-    total = 0j
-    for zl, ml in zip(zeta_spin1(label.M, label.axis).tolist(), _M_SPIN1):
-        total += zl * clebsch_gordan_half_half(1, ml, m1, m2)
-    return total
+    zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
+    # the sum's terms onto 0j in M_l order (+1, 0, -1)
+    return (
+        0j
+        + zp * clebsch_gordan_half_half(1, 1, m1, m2)
+        + z0 * clebsch_gordan_half_half(1, 0, m1, m2)
+        + zm * clebsch_gordan_half_half(1, -1, m1, m2)
+    )
 
 
 def _chi_row(label: CompoundLabel) -> list[complex]:
@@ -197,8 +211,9 @@ def _chi_row(label: CompoundLabel) -> list[complex]:
     if label.s == 0:
         return [chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER]
     zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
-    # chi's s = 1 sum with the table read directly: column k of the
-    # M = +1, 0, -1 rows of _CG_ROWS is slot k of B_INDEX_ORDER, and the terms
-    # go onto 0j in the same order, so each entry is == to chi(label, m1, m2).
-    columns = zip(*(_CG_ROWS[(1, ml)] for ml in _M_SPIN1))
-    return [0j + zp * gp + z0 * g0 + zm * gm for gp, g0, gm in columns]
+    # chi's s = 1 sum with the table read directly, so each entry is == to
+    # chi(label, m1, m2).
+    return [
+        0j + zp * _CG[1, 1, m1, m2] + z0 * _CG[1, 0, m1, m2] + zm * _CG[1, -1, m1, m2]
+        for m1, m2 in B_INDEX_ORDER
+    ]

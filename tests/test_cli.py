@@ -23,6 +23,7 @@ from spinpair.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     UsageError,
+    emit_records,
     main,
     parse_config,
 )
@@ -621,6 +622,91 @@ def test_record_schema(capsys, argv, json_keys, csv_header):
     code, out = _run(capsys, argv.split() + ["--format", "csv"])
     assert code == EXIT_OK
     assert out.splitlines()[0] == csv_header.replace(" ", ",")
+
+
+_SWEEP_PARAMS = [f"{obj}.{f}" for obj in ("a", "c1", "c2", "d", "f") for f in ("theta", "phi")]
+_LABELS = [(1, 1), (1, 0), (1, -1), (0, 0)]
+_ECHOED_PAIRS = [(name, "theta", "phi") for name in ("a", "d", "f", "c1", "c2")] + [
+    (name, "plus", "minus") for name in ("r1", "r2")
+]
+_SCAN_INPUTS = (
+    "--a 0.4,1.0 --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2.0 --r1 2,-1 --r2 1,0.5"
+)
+
+
+@pytest.mark.parametrize("s, M", _LABELS, ids=[f"{s}{M}" for s, M in _LABELS])
+@pytest.mark.parametrize("param", _SWEEP_PARAMS)
+def test_each_scan_point_reports_what_expect_reports_there(capsys, param, s, M):
+    # scan evaluates a point from its swept direction and the one object that
+    # holds it, built once per point; expect --grid 1 builds everything anew
+    # from the inputs the scan record echoes, so the results must be equal
+    argv = f"scan --s {s} --M {M} {_SCAN_INPUTS} --param {param} --start -1 --stop 7 --steps 5"
+    code, out = _run(capsys, argv.split())
+    assert code == EXIT_OK
+    records = _json_lines(out)
+    assert len(records) == 5
+    for record in records:
+        flags = [f"--s={s}", f"--M={M}"] + [
+            f"--{name}={record[f'{name}_{first}']!r},{record[f'{name}_{second}']!r}"
+            for name, first, second in _ECHOED_PAIRS
+        ]
+        code, out = _run(capsys, ["expect"] + flags)
+        assert code == EXIT_OK
+        (want,) = _json_lines(out)
+        for key in _ROUTES.split() + ["probabilities"]:
+            assert record[key] == want[key], key
+
+
+def _json_cells(record, complex_keys):
+    """The CSV cells a JSON record stands for: a complex number is an
+    [re, im] pair, and only ``complex_keys`` hold complex values."""
+    cells = {}
+    for key, value in record.items():
+        if key in complex_keys:
+            parts = np.array(value)
+            for index in np.ndindex(parts.shape[:-1]):
+                column = f"{key}_{''.join(map(str, index))}"
+                re_part, im_part = parts[index].tolist()
+                cells.update({f"{column}_re": repr(re_part), f"{column}_im": repr(im_part)})
+        elif isinstance(value, list):
+            cells.update({f"{key}_{i}": repr(v) for i, v in enumerate(value)})
+        elif isinstance(value, bool):
+            cells[key] = "true" if value else "false"
+        elif isinstance(value, float):
+            cells[key] = repr(value)
+        else:
+            cells[key] = "" if value is None else str(value)
+    return cells
+
+
+@pytest.mark.parametrize(
+    "argv, complex_keys",
+    [
+        (f"scan --s 1 --M 0 {_SCAN_INPUTS} --param a.theta --start -1 --stop 7 --steps 4", ()),
+        ("state --s 1 --M -1 --a 0.4,1.0 --d 0.7,2.5 --f 1.1,0.3", ("coefficients", "tensor")),
+        ("operator --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2.0 --r1 2,-1", ("r1", "r2")),
+    ],
+    ids=["scan", "state", "operator"],
+)
+def test_csv_and_json_agree_cell_for_cell(capsys, argv, complex_keys):
+    _, json_out = _run(capsys, argv.split())
+    _, csv_out = _run(capsys, argv.split() + ["--format", "csv"])
+    want = [_json_cells(record, complex_keys) for record in _json_lines(json_out)]
+    got = _csv_rows(csv_out)
+    assert len(got) == len(want) > 0
+    for row, cells in zip(got, want):
+        del row["timestamp"], cells["timestamp"]
+        assert list(row.items()) == list(cells.items())
+
+
+@pytest.mark.parametrize(
+    "second",
+    [{"a": 2.0, "c": 3.0}, {"b": 1, "a": 2.0}, {"a": 1.0, "b": [1, 2]}, {"a": 1.0, "b": 1j}],
+    ids=["renamed", "reordered", "list", "complex"],
+)
+def test_a_csv_stream_with_a_changed_schema_is_refused(second):
+    with pytest.raises(ValueError, match="share a schema"):
+        emit_records([{"a": 1.0, "b": 2}, second], "csv", io.StringIO())
 
 
 class TestExitContract:

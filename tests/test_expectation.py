@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import spinpair.expectation as expectation_mod
+import spinpair.kernels as kernels_mod
 from spinpair import (
     B_INDEX_ORDER,
     CompoundLabel,
@@ -200,6 +201,33 @@ class TestExpectationRoutes:
                 expectation_mod.expectation_matrix(label, spec)
         else:
             assert expectation_mod.expectation_matrix(label, spec) == pytest.approx(1.0)
+
+
+    def test_oracle_values_are_python_floats(self, rng):
+        label, spec = _random_label(rng), _random_spec(rng)
+        dirs = [draw_direction(rng) for _ in range(4)]
+        assert type(expectation_oracle(label, spec)) is float
+        assert type(singlet_expectation(*dirs[:2])) is float
+        assert type(chsh_value(*dirs)) is float
+
+    def test_unrolled_oracle_sums_equal_their_loops(self, rng):
+        # amplitude_psi and expectation_oracle add their terms in the order
+        # of these loops, so the results are equal, not just close
+        for _ in range(200):
+            label, spec = _random_label(rng), _random_spec(rng)
+            x1 = xi_half(Z_AXIS, spec.c1).tolist()
+            x2 = xi_half(Z_AXIS, spec.c2).tolist()
+            r1 = (spec.values1.r_plus, spec.values1.r_minus)
+            r2 = (spec.values2.r_plus, spec.values2.r_minus)
+            p = outcome_probabilities(label, spec.c1, spec.c2)
+            value = 0.0
+            for k, (u, v) in enumerate(B_INDEX_ORDER):
+                psi = 0j
+                for m1, m2 in B_INDEX_ORDER:
+                    psi += kernels_mod.chi(label, m1, m2) * x1[m1][u] * x2[m2][v]
+                assert amplitude_psi(label, spec.c1, spec.c2, u, v) == psi
+                value += p[k] * r1[u] * r2[v]
+            assert expectation_oracle(label, spec) == value
 
 
 class TestBasisInvarianceReport:

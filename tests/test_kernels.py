@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import spinpair.kernels as kernels_mod
 from spinpair import (
     B_INDEX_ORDER,
     MINUS,
@@ -147,6 +148,11 @@ class TestZetaSpin1:
         z = np.array([zeta_spin1(m, a) for m in (1, 0, -1)])
         assert np.max(np.abs(z @ z.conj().T - np.eye(3))) < KERNEL_TOL
 
+    @given(directions)
+    def test_conjugate_phase_is_the_negative_exponent_bit_for_bit(self, a):
+        # zeta_spin1 takes exp(-i phi) as the conjugate of exp(i phi)
+        assert repr(cmath.exp(1j * a.phi).conjugate()) == repr(cmath.exp(-1j * a.phi))
+
     @pytest.mark.parametrize("bad", [2, -2, 5])
     def test_rejects_bad_projection(self, bad):
         with pytest.raises(ValueError):
@@ -200,6 +206,13 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             clebsch_gordan_half_half(s, M, PLUS, MINUS)
 
+    # 2 * m1 + m2 indexes a row of four from the end for these, so they once
+    # answered 1/sqrt(2), 0 and 0
+    @pytest.mark.parametrize("s,M,m1,m2", [(1, 0, -1, 0), (0, 0, -1, 1), (1, 1, 0, -1)])
+    def test_rejects_projections_other_than_plus_and_minus(self, s, M, m1, m2):
+        with pytest.raises(ValueError, match="invalid projection labels"):
+            clebsch_gordan_half_half(s, M, m1, m2)
+
 
 def _chi_quadruple(label):
     return np.array([chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER])
@@ -245,6 +258,21 @@ class TestChi:
     def test_unit_weight_across_the_four_slots(self, label):
         total = sum(abs(c) ** 2 for c in _chi_quadruple(label))
         assert abs(total - 1.0) < KERNEL_TOL
+
+    @given(compound_labels)
+    def test_equals_its_sum_over_the_spin1_projections(self, label):
+        # the terms go onto 0j in M_l order (+1, 0, -1), so the value is
+        # equal to this loop's, not just close; _chi_row reads the same sum
+        for m1, m2 in B_INDEX_ORDER:
+            want = 0j
+            if label.s == 0:
+                want = complex(clebsch_gordan_half_half(0, 0, m1, m2))
+            else:
+                zeta = zeta_spin1(label.M, label.axis).tolist()
+                for zl, ml in zip(zeta, (1, 0, -1)):
+                    want += zl * clebsch_gordan_half_half(1, ml, m1, m2)
+            assert chi(label, m1, m2) == want
+        assert kernels_mod._chi_row(label) == _chi_quadruple(label).tolist()
 
     def test_quadruples_are_orthonormal_across_labels(self, rng):
         for _ in range(25):

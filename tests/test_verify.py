@@ -27,13 +27,26 @@ class TestDraw:
         assert np.array_equal(got, want)
         assert all(isinstance(r[0], Direction) and isinstance(r[1], float) for r in rows)
 
-    def test_single_rows_between_integer_draws_keep_the_stream(self):
-        seq, block = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(50):
-            assert seq.integers(0, 4) == block.integers(0, 4)
-            want = [seq.uniform(-2.0, 2.0), seq.uniform(0, math.pi), seq.uniform(0, 2 * math.pi)]
-            ((value, d),) = verify._draw(block, 1, [(-2.0, 2.0), verify._DIRECTION])
-            assert np.array_equal([value, d.theta, d.phi], want)
+    def test_random_problems_draw_the_labels_then_one_block(self):
+        # one rng.integers block for all n labels, then one _draw block for
+        # everything else, so a problem's numbers do not depend on n's labels
+        n, k = 40, 3
+        seq = np.random.default_rng(5)
+        labels = seq.integers(0, 4, n).tolist()
+        fields = 3 * [verify._DIRECTION] + 4 * [(-2.0, 2.0)] + k * [verify._DIRECTION]
+        rows = list(verify._draw(seq, n, fields))
+        block = np.random.default_rng(5)
+        problems = verify._random_problems(block, n, k)
+        assert block.random() == seq.random()  # both blocks drawn before the first problem
+        problems = list(problems)
+        assert len(problems) == n
+        for i, row, (label, spec, dirs) in zip(labels, rows, problems):
+            axis, c1, c2, p1, m1, p2, m2, *more = row
+            assert (label.s, label.M, label.axis) == (*verify._LABELS[i], axis)
+            assert (spec.c1, spec.c2) == (c1, c2)
+            assert (spec.values1.r_plus, spec.values1.r_minus) == (p1, m1)
+            assert (spec.values2.r_plus, spec.values2.r_minus) == (p2, m2)
+            assert list(dirs) == more
 
     def test_no_rows(self):
         rng = np.random.default_rng(3)
@@ -174,9 +187,8 @@ def test_no_child_process_survives_a_run(monkeypatch):
 def test_a_flipped_coupling_sign_fails_both_clebsch_gordan_checks(monkeypatch, s, M, slot):
     # each of these signs alone keeps every row a unit vector but makes
     # (1, 0) and (0, 0) overlap, and the table pins it too
-    row = list(kernels_mod._CG_ROWS[(s, M)])
-    row[slot] = -row[slot]
-    monkeypatch.setitem(kernels_mod._CG_ROWS, (s, M), tuple(row))
+    key = (s, M, *kernels_mod.B_INDEX_ORDER[slot])
+    monkeypatch.setitem(kernels_mod._CG, key, -kernels_mod._CG[key])
     rng = np.random.default_rng(0)
     checks = [row for row in verify._CHECKS if row[0].startswith("clebsch_gordan_")]
     assert len(checks) == 2
