@@ -18,7 +18,6 @@ from .kernels import (
     SpinHalfLabel,
     chi,
     clebsch_gordan_half_half,
-    eta_from_z,
     xi_half,
     zeta_spin1,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SpinHalfLabel",
     "CompoundLabel",
     "xi_half",
-    "eta_from_z",
     "zeta_spin1",
     "clebsch_gordan_half_half",
     "chi",

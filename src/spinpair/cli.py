@@ -189,7 +189,11 @@ def _parse_pair(value, field: str, cls):
         extra = set(value) - set(keys)
         if extra:
             raise UsageError(f"{field}: unknown keys {sorted(extra)}")
-        tokens = [value.get(key, default) for key, default in zip(keys, defaults)]
+        # a null is a key not given, as at the top level
+        tokens = [
+            default if value.get(key) is None else value[key]
+            for key, default in zip(keys, defaults)
+        ]
     elif isinstance(value, (str, list, tuple)):
         tokens = value.split(",") if isinstance(value, str) else list(value)
     else:
@@ -216,6 +220,8 @@ def _parse_tol(entries, field: str) -> dict[str, float]:
     for name, value in items:
         if name not in verify_mod.DEFAULT_TOLERANCES:
             raise UsageError(f"{field}: unknown check {name!r}")
+        if value is None:  # a config object's null: the check keeps its tolerance
+            continue
         tol = _parse_float(value, f"{field}.{name}")
         if not (math.isfinite(tol) and tol > 0.0):
             raise UsageError(f"{field}.{name}: must be finite and positive, got {tol!r}")
@@ -380,13 +386,9 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def _json_default(value):
-    """JSON form of the non-JSON values records hold (json.dumps recurses)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    """JSON form of a complex number, the one non-JSON value records hold."""
     if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.generic):
-        return value.item()
+        return [value.real, value.imag]
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
@@ -402,8 +404,8 @@ _CELL_TEXT = {
 
 
 def _flatten(record: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """CSV columns and cells: arrays and lists over indexed columns, 2-D ones
-    as <key>_<i><j>, complex numbers over _re/_im, NumPy scalars as Python's."""
+    """CSV columns and cells: a list over indexed columns, a list of lists as
+    <key>_<i><j>, complex numbers over _re/_im."""
     keys: list[str] = []
     cells: list[str] = []
     for key, value in record.items():
@@ -412,19 +414,15 @@ def _flatten(record: dict[str, Any]) -> tuple[list[str], list[str]]:
             keys.append(key)
             cells.append(text(value))
             continue
-        if isinstance(value, np.ndarray) and value.ndim == 2:
-            items = [
-                (f"{key}_{i}{j}", v)
-                for i, row in enumerate(value.tolist())
-                for j, v in enumerate(row)
-            ]
-        elif isinstance(value, (list, tuple, np.ndarray)):
-            items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
-        else:
+        if not isinstance(value, list):
             items = [(key, value)]
+        elif value and isinstance(value[0], list):
+            items = [
+                (f"{key}_{i}{j}", v) for i, row in enumerate(value) for j, v in enumerate(row)
+            ]
+        else:
+            items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
         for key_k, v in items:
-            if isinstance(v, np.generic):
-                v = v.item()
             if isinstance(v, complex):
                 keys += (f"{key_k}_re", f"{key_k}_im")
                 cells += (repr(v.real), repr(v.imag))
@@ -483,8 +481,8 @@ def _cmd_state(config: RunConfig):
     asm = assemble_state(config.label, config.inputs["d"], config.inputs["f"])
     record = _record(
         config,
-        coefficients=np.array([t.coefficient for t in asm.terms]),
-        tensor=asm.tensor,
+        coefficients=[t.coefficient for t in asm.terms],
+        tensor=asm.tensor.tolist(),
         norm_sq=float(np.vdot(asm.tensor, asm.tensor).real),
     )
     return [record], EXIT_OK
@@ -492,12 +490,12 @@ def _cmd_state(config: RunConfig):
 
 def _cmd_operator(config: RunConfig):
     r1, r2 = operator_pair(config.spec, config.inputs["d"], config.inputs["f"])
-    return [_record(config, r1=r1, r2=r2)], EXIT_OK
+    return [_record(config, r1=r1.tolist(), r2=r2.tolist())], EXIT_OK
 
 
 def _cmd_probabilities(config: RunConfig):
     p = outcome_probabilities(config.label, config.spec.c1, config.spec.c2)
-    return [_record(config, probabilities=p, prob_sum=float(np.sum(p)))], EXIT_OK
+    return [_record(config, probabilities=p.tolist(), prob_sum=float(np.sum(p)))], EXIT_OK
 
 
 def _correlation(label: CompoundLabel, spec: MeasurementSpec, pairs) -> dict[str, Any]:

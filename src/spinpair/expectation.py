@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .directions import Direction, Z_AXIS
 from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SpinHalfLabel, chi, xi_half
 from .operators import (
     MeasurementSpec,
-    OutcomeValues,
     SPIN_PROJECTION_VALUES,
     operator_pair,
 )

@@ -2,11 +2,11 @@
 
 Everything in this module is a transition table between projection labels.
 ``xi_half`` is the spin-1/2 direction-change matrix that the rest of the
-package is built from, ``eta_from_z`` reads one of its rows for a z-axis start,
-``zeta_spin1`` is the spin-1 analogue used for the total spin of a coupled
-pair, ``clebsch_gordan_half_half`` couples two spin-1/2 projections, and
-``chi`` composes the last two into coupling coefficients referred to an
-arbitrary quantization axis.
+package is built from; row m of ``xi_half(Z_AXIS, f)`` is the z-basis eta
+vector of projection m.  ``zeta_spin1`` is the spin-1 analogue used for the
+total spin of a coupled pair, ``clebsch_gordan_half_half`` couples two
+spin-1/2 projections, and ``chi`` composes the last two into coupling
+coefficients referred to an arbitrary quantization axis.
 
 All functions are pure; return values are plain numbers or fresh numpy
 arrays.
@@ -21,7 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .directions import Direction, Z_AXIS
+from .directions import Direction
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -112,17 +112,6 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
             [-si * cf + wci * sf, si * sf + wci * cf],
         ]
     )
-
-
-def eta_from_z(m: SpinHalfLabel, final: Direction) -> np.ndarray:
-    """Amplitude pair from a z-axis projection ``m`` to both ``final`` outcomes.
-
-    Row m of ``xi_half(Z_AXIS, final)``, as a copy:
-    (cos(theta/2), -sin(theta/2)) for plus and
-    (sin(theta/2), cos(theta/2)) * exp(-i phi) for minus.  Each pair has
-    unit norm.
-    """
-    return xi_half(Z_AXIS, final)[m].copy()
 
 
 def zeta_spin1(M: int, a: Direction) -> np.ndarray:

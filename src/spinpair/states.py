@@ -58,8 +58,8 @@ def _tensor(
 
     Returns (tensor, coefficients, eta1, eta2): the coefficients are the
     ``chi`` values over B_INDEX_ORDER, and eta1 (eta2) is
-    ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``), whose row m is
-    ``eta_from_z(m, d)`` (``eta_from_z(m, f)``).  The tensor is the sum of
+    ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``), whose row m is the
+    eta vector of projection m.  The tensor is the sum of
     ``coefficient_k * np.kron(eta1[m1_k], eta2[m2_k])`` term by term in
     B_INDEX_ORDER.
     """
@@ -80,7 +80,8 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     """Build the state (s, M) along ``label.axis`` in the (d, f) product basis.
 
     The coefficients are exactly the ``chi`` outputs, the per-subsystem
-    vectors exactly the ``eta_from_z`` outputs; no rescaling happens here.
+    vectors exactly the rows of ``xi_half(Z_AXIS, d)`` and
+    ``xi_half(Z_AXIS, f)``; no rescaling happens here.
     ``terms`` and ``tensor`` are read-only and hold what ``_tensor`` builds,
     the tensor being ``sum of coefficient * np.kron(eta1, eta2)``.
     """

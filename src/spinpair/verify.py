@@ -21,8 +21,8 @@ import numpy as np
 
 from . import expectation, kernels, operators, states
 from .directions import Direction, Z_AXIS, angle_between
-from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SQRT_HALF
-from .operators import MeasurementSpec, OutcomeValues
+from .kernels import B_INDEX_ORDER, CompoundLabel, SQRT_HALF
+from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues
 
 
 @dataclass(frozen=True)
@@ -179,9 +179,8 @@ def _check_standard_form_states(rng, samples):
 
 
 def _check_standard_form_operators(rng, samples):
-    values = OutcomeValues(1.0, -1.0)
     cs = [c for (c,) in _draw(rng, samples, [_DIRECTION])]
-    got = np.array([operators.r_matrix(Z_AXIS, c, values) for c in cs])
+    got = np.array([operators.r_matrix(Z_AXIS, c, SPIN_PROJECTION_VALUES) for c in cs])
     theta, phi = np.array([(c.theta, c.phi) for c in cs]).T
     cos, sin = np.cos(theta), np.sin(theta)
     want = np.array([[cos, sin * np.exp(-1j * phi)], [sin * np.exp(1j * phi), -cos]])
@@ -191,11 +190,12 @@ def _check_standard_form_operators(rng, samples):
 def _check_axis_aligned_states(rng, samples):
     etas, coeffs, tensors = [], [], []
     for d, f in _draw(rng, samples, 2 * [_DIRECTION]):
-        etas.append([[kernels.eta_from_z(m, x) for m in (PLUS, MINUS)] for x in (d, f)])
+        etas.append([kernels.xi_half(Z_AXIS, x) for x in (d, f)])
         for label in _four_labels(Z_AXIS):
             asm = states.reduce_axis_aligned(label, d, f)
             coeffs.append([t.coefficient for t in asm.terms])
             tensors.append(asm.tensor)
+    # etas[n, 0, m] (etas[n, 1, m]) is the eta vector eta_d(m) (eta_f(m)), and
     # outer[n, (m1, m2)] = eta_d(m1) (x) eta_f(m2), the kron product of the
     # two rows; each label's reference tensor weighs them with its pattern.
     etas = np.array(etas)
@@ -289,12 +289,11 @@ def _check_probability_completeness(rng, samples):
 
 def _check_singlet_cosine_law(rng, samples):
     label = CompoundLabel(0, 0, Z_AXIS)
-    vals = OutcomeValues(1.0, -1.0)
     thetas = np.linspace(0.0, math.pi, samples).tolist()
     values = []
     for theta, (d, f) in zip(thetas, _draw(rng, samples, 2 * [_DIRECTION])):
         c2 = Direction(theta, 0.0)
-        spec = MeasurementSpec(Z_AXIS, c2, vals, vals)
+        spec = MeasurementSpec(Z_AXIS, c2, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
         want = -math.cos(angle_between(Z_AXIS, c2))
         matrix = expectation.expectation_matrix(label, spec, d, f)
         values.append((matrix - want, expectation.expectation_oracle(label, spec) - want))

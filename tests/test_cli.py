@@ -325,6 +325,31 @@ class TestParsing:
         path.write_text(json.dumps({name: None}))
         assert _outcome(argv + ["--config", str(path)]) == _outcome(argv)
 
+    @pytest.mark.parametrize(
+        "command, name, with_null, without",
+        [
+            ("expect", "c1", {"theta": None, "phi": 1}, {"phi": 1}),
+            ("state", "a", {"theta": 0.4, "phi": None}, {"theta": 0.4}),
+            ("expect", "r1", {"plus": None}, {}),
+            ("scan", "r2", {"plus": 2, "minus": None}, {"plus": 2}),
+            ("verify", "tol", {"kernel_unitarity": None}, {}),
+            ("verify", "tol", {"kernel_unitarity": None, "chsh_extremum": 1e-9},
+             {"chsh_extremum": 1e-9}),
+        ],
+        ids=["c1.theta", "a.phi", "r1.plus", "r2.minus", "tol", "tol-one-of-two"],
+    )
+    def test_a_null_inside_a_config_object_is_a_key_not_given(
+        self, tmp_path, command, name, with_null, without
+    ):
+        # a pair key takes its default, a tol entry keeps the pinned tolerance
+        argv = _argv_without(command, name)
+        outcomes = []
+        for i, value in enumerate((with_null, without)):
+            path = tmp_path / f"run{i}.json"
+            path.write_text(json.dumps({name: value}))
+            outcomes.append(_outcome(argv + ["--config", str(path)]))
+        assert not isinstance(outcomes[1], str) and outcomes[0] == outcomes[1]
+
     @_each_flag
     def test_every_flag_parses_from_a_config_file_as_from_the_command_line(
         self, tmp_path, command, flag
@@ -685,8 +710,9 @@ def _json_cells(record, complex_keys):
         (f"scan --s 1 --M 0 {_SCAN_INPUTS} --param a.theta --start -1 --stop 7 --steps 4", ()),
         ("state --s 1 --M -1 --a 0.4,1.0 --d 0.7,2.5 --f 1.1,0.3", ("coefficients", "tensor")),
         ("operator --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2.0 --r1 2,-1", ("r1", "r2")),
+        ("probabilities --s 1 --M 0 --a 0.4,1.0 --c1 0.3,0.2 --c2 1.2,2.0", ()),
     ],
-    ids=["scan", "state", "operator"],
+    ids=["scan", "state", "operator", "probabilities"],
 )
 def test_csv_and_json_agree_cell_for_cell(capsys, argv, complex_keys):
     _, json_out = _run(capsys, argv.split())

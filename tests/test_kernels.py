@@ -15,7 +15,6 @@ from spinpair import (
     Z_AXIS,
     chi,
     clebsch_gordan_half_half,
-    eta_from_z,
     xi_half,
     zeta_spin1,
 )
@@ -81,33 +80,28 @@ class TestXiHalf:
 
 
 class TestEtaFromZ:
+    # The z-basis eta vectors are the rows of xi_half(Z_AXIS, f): row m holds
+    # the amplitudes from projection m along z to both outcomes along f.
     def test_plus_along_z_is_pure(self):
-        assert np.array_equal(eta_from_z(PLUS, Z_AXIS), np.array([1.0 + 0j, 0j]))
+        assert np.array_equal(xi_half(Z_AXIS, Z_AXIS)[PLUS], np.array([1.0 + 0j, 0j]))
 
     def test_minus_along_z_is_pure(self):
-        assert np.array_equal(eta_from_z(MINUS, Z_AXIS), np.array([0j, 1.0 + 0j]))
+        assert np.array_equal(xi_half(Z_AXIS, Z_AXIS)[MINUS], np.array([0j, 1.0 + 0j]))
 
     def test_plus_to_equator(self):
-        got = eta_from_z(PLUS, Direction(math.pi / 2, 0.0))
+        got = xi_half(Z_AXIS, Direction(math.pi / 2, 0.0))[PLUS]
         want = np.array([0.7071067811865476, -0.7071067811865476])
         assert np.max(np.abs(got - want)) < 1e-15
 
     def test_minus_carries_the_azimuth_phase(self):
         f = Direction(0.8, 2.1)
-        got = eta_from_z(MINUS, f)
+        got = xi_half(Z_AXIS, f)[MINUS]
         want = np.array([math.sin(0.4), math.cos(0.4)]) * cmath.exp(-2.1j)
         assert np.max(np.abs(got - want)) < 1e-15
 
     @given(directions)
-    def test_rows_agree_with_xi_half(self, f):
-        x = xi_half(Z_AXIS, f)
-        assert np.array_equal(eta_from_z(PLUS, f), x[0])
-        assert np.array_equal(eta_from_z(MINUS, f), x[1])
-
-    @given(directions)
     def test_unit_norm(self, f):
-        for m in (PLUS, MINUS):
-            e = eta_from_z(m, f)
+        for e in xi_half(Z_AXIS, f):
             assert abs(np.vdot(e, e).real - 1.0) < KERNEL_TOL
 
 

@@ -26,7 +26,6 @@ from spinpair import (
     assemble_state,
     chi,
     clebsch_gordan_half_half,
-    eta_from_z,
     expectation_matrix,
     gram_matrix,
     r_matrix,
@@ -49,8 +48,9 @@ def _labels(rng):
 
 def reference_tensor(label, d, f):
     tensor = np.zeros(4, dtype=complex)
+    eta1, eta2 = xi_half(Z_AXIS, d), xi_half(Z_AXIS, f)
     for m1, m2 in B_INDEX_ORDER:
-        tensor += chi(label, m1, m2) * np.kron(eta_from_z(m1, d), eta_from_z(m2, f))
+        tensor += chi(label, m1, m2) * np.kron(eta1[m1], eta2[m2])
     return tensor
 
 
