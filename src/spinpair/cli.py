@@ -110,25 +110,31 @@ class RunConfig:
 # file, and the flag that its error messages name.
 
 
+def _quoted(value) -> str:
+    """A value as error messages show it: a string, which is all a flag ever
+    gives, as its repr; any other config-file value as its JSON text."""
+    return repr(value) if isinstance(value, str) else json.dumps(value)
+
+
 def _parse_float(token, field: str) -> float:
     if isinstance(token, bool):  # a JSON true is not the number 1
-        raise UsageError(f"{field}: malformed number {token!r}")
+        raise UsageError(f"{field}: malformed number {_quoted(token)}")
     try:
         return float(token)
     except (TypeError, ValueError, OverflowError):  # OverflowError: huge JSON ints
-        raise UsageError(f"{field}: malformed number {token!r}") from None
+        raise UsageError(f"{field}: malformed number {_quoted(token)}") from None
 
 
 def _parse_int(token, field: str) -> int:
     try:
         return int(str(token), 10)
     except (TypeError, ValueError):
-        raise UsageError(f"{field}: malformed integer {token!r}") from None
+        raise UsageError(f"{field}: malformed integer {_quoted(token)}") from None
 
 
 def _parse_angle(token, field: str) -> float:
-    if isinstance(token, bool):
-        raise UsageError(f"{field}: malformed angle {token!r}")
+    if isinstance(token, bool) or not isinstance(token, (str, int, float)):
+        raise UsageError(f"{field}: malformed angle {_quoted(token)}")
     text = str(token).strip()
     if text.lower().endswith("deg"):
         return math.radians(_parse_float(text[:-3], field))
@@ -160,7 +166,7 @@ def _parse_seed(token, field: str) -> int:
 
 def _parse_choice(token, field: str, choices: tuple[str, ...]) -> str:
     if token not in choices:
-        raise UsageError(f"{field}: expected one of {', '.join(choices)}, got {token!r}")
+        raise UsageError(f"{field}: expected one of {', '.join(choices)}, got {_quoted(token)}")
     return token
 
 
@@ -197,9 +203,9 @@ def _parse_pair(value, field: str, cls):
     elif isinstance(value, (str, list, tuple)):
         tokens = value.split(",") if isinstance(value, str) else list(value)
     else:
-        raise UsageError(f"{field}: expected {form}, got {value!r}")
+        raise UsageError(f"{field}: expected {form}, got {_quoted(value)}")
     if len(tokens) != 2:
-        raise UsageError(f"{field}: expected two comma-separated {noun}, got {value!r}")
+        raise UsageError(f"{field}: expected two comma-separated {noun}, got {_quoted(value)}")
     args = [parse_token(token, f"{field}.{key}") for token, key in zip(tokens, keys)]
     return _construct(cls, f"{field}: ", *args)
 
@@ -210,12 +216,12 @@ def _parse_tol(entries, field: str) -> dict[str, float]:
     elif isinstance(entries, list):
         items = []
         for entry in entries:
-            name, eq, value = str(entry).partition("=")
+            name, eq, value = entry.partition("=") if isinstance(entry, str) else ("", "", "")
             if not eq:
-                raise UsageError(f"{field}: expected NAME=VALUE, got {entry!r}")
+                raise UsageError(f"{field}: expected NAME=VALUE, got {_quoted(entry)}")
             items.append((name.strip(), value))
     else:
-        raise UsageError(f"{field}: expected NAME=VALUE entries, got {entries!r}")
+        raise UsageError(f"{field}: expected NAME=VALUE entries, got {_quoted(entries)}")
     out: dict[str, float] = {}
     for name, value in items:
         if name not in verify_mod.DEFAULT_TOLERANCES:

@@ -125,8 +125,8 @@ def expectation_matrix(
     """
     # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
-    # vdot(Psi, r1 @ Psi @ r2.T), here on Python complex scalars.
-    p00, p01, p10, p11 = _tensor(label, d, f)[0].tolist()
+    # vdot(Psi, r1 @ Psi @ r2.T), on the Python complex numbers _tensor gives.
+    p00, p01, p10, p11 = _tensor(label, d, f)[0]
     r1, r2 = operator_pair(spec, d, f)
     (a00, a01), (a10, a11) = r1.tolist()
     (b00, b01), (b10, b11) = r2.tolist()

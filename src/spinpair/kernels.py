@@ -9,7 +9,10 @@ spin-1/2 projections, and ``chi`` composes the last two into coupling
 coefficients referred to an arbitrary quantization axis.
 
 All functions are pure; return values are plain numbers or fresh numpy
-arrays.
+arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
+``_xi_entries`` and ``_zeta_entries``, which return their entries as a list
+of Python complex numbers; the public kernels are arrays over those lists,
+and the matrix route of the package reads the lists directly.
 """
 
 from __future__ import annotations
@@ -71,6 +74,21 @@ class CompoundLabel:
             raise ValueError(f"M must satisfy |M| <= s, got M={self.M!r} for s={self.s}")
 
 
+def _xi_entries(initial: Direction, final: Direction) -> list[complex]:
+    """The four entries of ``xi_half(initial, final)``, row major, as Python
+    complex numbers: the formulas themselves, for callers that would only
+    unpack an array."""
+    ci = math.cos(initial.theta / 2.0)
+    si = math.sin(initial.theta / 2.0)
+    cf = math.cos(final.theta / 2.0)
+    sf = math.sin(final.theta / 2.0)
+    w = cmath.exp(1j * (initial.phi - final.phi))
+    # w * si * sf is (w * si) * sf, so the shared products keep every bit
+    wsi = w * si
+    wci = w * ci
+    return [ci * cf + wsi * sf, -ci * sf + wsi * cf, -si * cf + wci * sf, si * sf + wci * cf]
+
+
 def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     """Spin-1/2 direction-change amplitude matrix.
 
@@ -98,20 +116,24 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     numpy.ndarray
         Complex 2x2 matrix.
     """
-    ci = math.cos(initial.theta / 2.0)
-    si = math.sin(initial.theta / 2.0)
-    cf = math.cos(final.theta / 2.0)
-    sf = math.sin(final.theta / 2.0)
-    w = cmath.exp(1j * (initial.phi - final.phi))
-    # w * si * sf is (w * si) * sf, so the shared products keep every bit
-    wsi = w * si
-    wci = w * ci
-    return np.array(
-        [
-            [ci * cf + wsi * sf, -ci * sf + wsi * cf],
-            [-si * cf + wci * sf, si * sf + wci * cf],
-        ]
-    )
+    return np.array(_xi_entries(initial, final)).reshape(2, 2)
+
+
+def _zeta_entries(M: int, a: Direction) -> list[complex]:
+    """The three entries of ``zeta_spin1(M, a)`` as Python complex numbers."""
+    th = a.theta
+    s = math.sin(th)
+    ep = cmath.exp(1j * a.phi)
+    em = ep.conjugate()  # == cmath.exp(-1j * a.phi), bit for bit
+    if M == 1:
+        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
+        return [c2 * em, SQRT_HALF * s + 0j, s2 * ep]
+    if M == 0:
+        return [-SQRT_HALF * s * em, math.cos(th) + 0j, SQRT_HALF * s * ep]
+    if M == -1:
+        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
+        return [-s2 * em, SQRT_HALF * s + 0j, -c2 * ep]
+    raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
 
 
 def zeta_spin1(M: int, a: Direction) -> np.ndarray:
@@ -121,35 +143,22 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    th = a.theta
-    s = math.sin(th)
-    ep = cmath.exp(1j * a.phi)
-    em = ep.conjugate()  # == cmath.exp(-1j * a.phi), bit for bit
-    if M == 1:
-        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
-        return np.array([c2 * em, SQRT_HALF * s + 0j, s2 * ep])
-    if M == 0:
-        return np.array([-SQRT_HALF * s * em, math.cos(th) + 0j, SQRT_HALF * s * ep])
-    if M == -1:
-        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
-        return np.array([-s2 * em, SQRT_HALF * s + 0j, -c2 * ep])
-    raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
+    return np.array(_zeta_entries(M, a))
 
 
-# Coupling coefficients of the four total-spin labels (s, M) by joint
-# projection label, (s, M, m1, m2) -> value; written one row per (s, M) over
-# B_INDEX_ORDER.
+# Coupling coefficients of the four total-spin labels (s, M), one row per
+# (s, M) over B_INDEX_ORDER, and the same values by (s, M, m1, m2).
+_CG_ROWS = {
+    (1, 1): (1.0, 0.0, 0.0, 0.0),
+    (1, 0): (0.0, SQRT_HALF, SQRT_HALF, 0.0),
+    (1, -1): (0.0, 0.0, 0.0, 1.0),
+    (0, 0): (0.0, SQRT_HALF, -SQRT_HALF, 0.0),
+}
 _CG = {
     (s, M, m1, m2): value
-    for (s, M), row in {
-        (1, 1): (1.0, 0.0, 0.0, 0.0),
-        (1, 0): (0.0, SQRT_HALF, SQRT_HALF, 0.0),
-        (1, -1): (0.0, 0.0, 0.0, 1.0),
-        (0, 0): (0.0, SQRT_HALF, -SQRT_HALF, 0.0),
-    }.items()
+    for (s, M), row in _CG_ROWS.items()
     for (m1, m2), value in zip(B_INDEX_ORDER, row)
 }
-_TOTAL_SPIN_LABELS = {(s, M) for s, M, _, _ in _CG}
 
 
 def clebsch_gordan_half_half(
@@ -166,7 +175,7 @@ def clebsch_gordan_half_half(
     try:
         return _CG[s, M, m1, m2]
     except KeyError:
-        if (s, M) not in _TOTAL_SPIN_LABELS:
+        if (s, M) not in _CG_ROWS:
             raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}") from None
         raise ValueError(f"invalid projection labels m1={m1!r}, m2={m2!r}") from None
 
@@ -196,13 +205,14 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
 
 
 def _chi_row(label: CompoundLabel) -> list[complex]:
-    """``chi(label, m1, m2)`` over B_INDEX_ORDER, with at most one zeta_spin1 call."""
+    """``chi(label, m1, m2)`` over B_INDEX_ORDER, from the table's rows and
+    one evaluation of the spin-1 amplitudes."""
     if label.s == 0:
-        return [chi(label, m1, m2) for m1, m2 in B_INDEX_ORDER]
-    zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
-    # chi's s = 1 sum with the table read directly, so each entry is == to
+        return [complex(value) for value in _CG_ROWS[0, 0]]
+    zp, z0, zm = _zeta_entries(label.M, label.axis)
+    # chi's s = 1 sum on the same table values, so each entry is == to
     # chi(label, m1, m2).
     return [
-        0j + zp * _CG[1, 1, m1, m2] + z0 * _CG[1, 0, m1, m2] + zm * _CG[1, -1, m1, m2]
-        for m1, m2 in B_INDEX_ORDER
+        0j + zp * cg_p + z0 * cg_0 + zm * cg_m
+        for cg_p, cg_0, cg_m in zip(_CG_ROWS[1, 1], _CG_ROWS[1, 0], _CG_ROWS[1, -1])
     ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import Direction
-from .kernels import xi_half
+from .kernels import _xi_entries
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def r_matrix(
     """
     # conj(X) @ diag(r) @ X.T on Python complex scalars, which beat NumPy's
     # per-call overhead at this size.
-    (x00, x01), (x10, x11) = xi_half(intermediate, measured).tolist()
+    x00, x01, x10, x11 = _xi_entries(intermediate, measured)
     rp, rm = values.r_plus, values.r_minus
     y00, y01 = x00.conjugate() * rp, x01.conjugate() * rm
     y10, y11 = x10.conjugate() * rp, x11.conjugate() * rm

@@ -7,8 +7,11 @@ four Kronecker products, one per pair of projection labels:
 
 where eta1 is taken along the first intermediate direction d and eta2 along
 the second one f.  Components follow B_INDEX_ORDER with the first subsystem
-major.  ``_tensor`` computes that sum; ``assemble_state`` packages it with
-its terms, and the matrix route of ``expectation`` reads ``_tensor`` alone.
+major.  ``_tensor`` computes that sum on Python complex numbers, which round
+alike on every host (NumPy's SIMD loops may fuse a multiply and an add, so
+the last bit of a NumPy product can depend on the CPU).  ``assemble_state``
+packages the sum with its terms as arrays, and the matrix route of
+``expectation`` reads ``_tensor``'s lists alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, xi_half
+from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, _xi_entries
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -53,27 +56,34 @@ class StateAssembly:
 
 def _tensor(
     label: CompoundLabel, d: Direction, f: Direction
-) -> tuple[np.ndarray, list[complex], np.ndarray, np.ndarray]:
+) -> tuple[list[complex], list[complex], list[complex], list[complex]]:
     """The tensor of the state (s, M) in the (d, f) basis, with its parts.
 
-    Returns (tensor, coefficients, eta1, eta2): the coefficients are the
-    ``chi`` values over B_INDEX_ORDER, and eta1 (eta2) is
-    ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``), whose row m is the
-    eta vector of projection m.  The tensor is the sum of
-    ``coefficient_k * np.kron(eta1[m1_k], eta2[m2_k])`` term by term in
-    B_INDEX_ORDER.
+    Returns (tensor, coefficients, eta1, eta2) as lists of Python complex
+    numbers: the coefficients are the ``chi`` values over B_INDEX_ORDER, and
+    eta1 (eta2) holds the entries of ``xi_half(Z_AXIS, d)``
+    (``xi_half(Z_AXIS, f)``) row major, row m being the eta vector of
+    projection m.  Component 2 i + j of the tensor is
+
+        sum over k of c_k * (eta1[m1_k][i] * eta2[m2_k][j])
+
+    with (m1_k, m2_k) the k-th label of B_INDEX_ORDER, the terms added onto
+    0j in that order.
     """
-    coefficients = _chi_row(label)
-    eta1 = xi_half(Z_AXIS, d)
-    eta2 = xi_half(Z_AXIS, f)
-    # products[k] = coefficient_k * kron(eta1_k, eta2_k): B_INDEX_ORDER and
-    # the kron components both run first index major, so one broadcast outer
-    # product, reshaped, lines the terms up in order.
-    outer = (eta1[:, None, :, None] * eta2[None, :, None, :]).reshape(4, 4)
-    products = np.array(coefficients)[:, None] * outer
-    # Rows added in order onto zeros (initial=0j), so the tensor is the
-    # docstring's sum bit for bit, signs of zero components included.
-    return products.sum(axis=0, initial=0j), coefficients, eta1, eta2
+    c0, c1, c2, c3 = coefficients = _chi_row(label)
+    eta1 = _xi_entries(Z_AXIS, d)
+    eta2 = _xi_entries(Z_AXIS, f)
+    # a_i, b_i: component i of the plus and the minus row of eta1; p_j, q_j
+    # likewise for eta2, so each component's terms run (++, +-, -+, --).
+    a0, a1, b0, b1 = eta1
+    p0, p1, q0, q1 = eta2
+    tensor = [
+        0j + c0 * (a0 * p0) + c1 * (a0 * q0) + c2 * (b0 * p0) + c3 * (b0 * q0),
+        0j + c0 * (a0 * p1) + c1 * (a0 * q1) + c2 * (b0 * p1) + c3 * (b0 * q1),
+        0j + c0 * (a1 * p0) + c1 * (a1 * q0) + c2 * (b1 * p0) + c3 * (b1 * q0),
+        0j + c0 * (a1 * p1) + c1 * (a1 * q1) + c2 * (b1 * p1) + c3 * (b1 * q1),
+    ]
+    return tensor, coefficients, eta1, eta2
 
 
 def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAssembly:
@@ -82,16 +92,17 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     The coefficients are exactly the ``chi`` outputs, the per-subsystem
     vectors exactly the rows of ``xi_half(Z_AXIS, d)`` and
     ``xi_half(Z_AXIS, f)``; no rescaling happens here.
-    ``terms`` and ``tensor`` are read-only and hold what ``_tensor`` builds,
-    the tensor being ``sum of coefficient * np.kron(eta1, eta2)``.
+    ``terms`` and ``tensor`` are read-only arrays over what ``_tensor``
+    computes.
     """
     tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
-    eta1, eta2 = _readonly(eta1), _readonly(eta2)
+    eta1 = _readonly(np.array(eta1).reshape(2, 2))
+    eta2 = _readonly(np.array(eta2).reshape(2, 2))
     terms = tuple(
         StateTerm(c, eta1[m1], eta2[m2])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
-    return StateAssembly(label, d, f, terms, _readonly(tensor))
+    return StateAssembly(label, d, f, terms, _readonly(np.array(tensor)))
 
 
 def reduce_axis_aligned(

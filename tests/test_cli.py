@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -315,6 +316,27 @@ class TestParsing:
         for run in (argv + [f"--{name}", value], argv + ["--config", str(path)]):
             assert main(run) == EXIT_USAGE
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("c1", [None, 1], "--c1.theta: malformed angle null"),
+            ("r1", [1, None], "--r1.minus: malformed number null"),
+            ("grid", {"a": 1}, '--grid: malformed integer {"a": 1}'),
+            ("seed", [1], "--seed: malformed integer [1]"),
+            ("seed", ["1"], '--seed: malformed integer ["1"]'),
+        ],
+        ids=["c1-null", "r1-null", "grid-object", "seed-list", "seed-list-of-string"],
+    )
+    def test_a_non_string_config_value_is_quoted_as_json(
+        self, capsys, tmp_path, name, value, message
+    ):
+        # a string keeps its repr, as from a flag; anything else reads as the
+        # file wrote it
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({name: value}))
+        assert main(_argv_without("expect", name) + ["--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @_each_flag
     def test_a_config_null_is_a_key_not_given(self, tmp_path, command, flag):
@@ -842,7 +864,48 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
+def _numpy_dispatch_targets() -> str:
+    """Every SIMD target this NumPy may dispatch to at run time, space
+    separated, as NPY_DISABLE_CPU_FEATURES takes them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return " ".join(__cpu_dispatch__)
+
+
 class TestSubprocess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "state --s 1 --M 0 --a 0.4,1 --d 0.7,2.5 --f 1.1,0.3",
+            "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --grid 4 --seed 3",
+            "scan --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 1.1,0.3"
+            " --param c2.theta --start 0 --stop 180deg --steps 181",
+        ],
+        ids=["state", "expect-grid", "scan"],
+    )
+    def test_stdout_does_not_depend_on_numpy_simd_targets(self, argv):
+        # With NumPy's dispatched SIMD loops switched off, NumPy may round a
+        # complex product differently; the records must not change.
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+        }
+        outputs = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatch_targets()}):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinpair", *argv.split()],
+                env={**env, **extra},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            outputs.append(_strip_timestamps(proc.stdout))
+        assert outputs[0] == outputs[1]
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "spinpair", "verify", "--seed", "7"],

@@ -153,6 +153,46 @@ class TestZetaSpin1:
             zeta_spin1(bad, Z_AXIS)
 
 
+# The poles, the neighbours of pi, a subnormal-scale angle and a full turn
+# past pi, each as theta and as phi.
+_EDGE_ANGLES = (
+    0.0,
+    math.pi,
+    math.pi - 1e-16,
+    math.pi + 1e-16,
+    math.nextafter(math.pi, 0.0),
+    math.nextafter(math.pi, 4.0),
+    1e-300,
+    3.0 * math.pi,
+)
+
+
+def _core_directions(rng):
+    edges = [Direction(theta, phi) for theta in _EDGE_ANGLES for phi in _EDGE_ANGLES]
+    return edges + [draw_direction(rng) for _ in range(40)]
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+class TestEntryCores:
+    """The private cores hold the formulas that the public kernels wrap in
+    arrays, and the matrix route reads the cores; they agree bit for bit."""
+
+    def test_xi_entries_are_the_entries_of_xi_half(self, rng):
+        ds = _core_directions(rng)
+        for initial in ds:
+            for final in ds:
+                got = kernels_mod._xi_entries(initial, final)
+                assert _bits(got) == _bits(xi_half(initial, final).ravel().tolist())
+
+    def test_zeta_entries_are_the_entries_of_zeta_spin1(self, rng):
+        for a in _core_directions(rng):
+            for m in (1, 0, -1):
+                assert _bits(kernels_mod._zeta_entries(m, a)) == _bits(zeta_spin1(m, a).tolist())
+
+
 class TestClebschGordan:
     @pytest.mark.parametrize(
         "s,M,m1,m2,want",
