@@ -90,17 +90,9 @@ class RunConfig:
     # The parsed value of each other flag the command takes, by its name
     # without the dashes, in --help order.
     inputs: dict[str, Any]
-
-    @property
-    def label(self) -> CompoundLabel:
-        return CompoundLabel(self.inputs["s"], self.inputs["M"], self.inputs["a"])
-
-    @property
-    def spec(self) -> MeasurementSpec:
-        inputs, unit = self.inputs, SPIN_PROJECTION_VALUES  # probabilities takes no r1, r2
-        return MeasurementSpec(
-            inputs["c1"], inputs["c2"], inputs.get("r1", unit), inputs.get("r2", unit)
-        )
+    # Built from the inputs, for the commands that take --s or --c1.
+    label: CompoundLabel | None
+    spec: MeasurementSpec | None
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,8 @@ def _load_config_file(path: str) -> dict[str, Any]:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path!r} ({exc})") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+    # JSONDecodeError, UnicodeDecodeError, int digit limit; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"--config: invalid JSON in {path!r} ({exc})") from None
     if not isinstance(data, dict):
         raise UsageError("--config: top level must be a JSON object")
@@ -362,9 +355,14 @@ def parse_config(argv=None) -> RunConfig:
     inputs = {flag[2:]: parse(value, flag) for flag, parse, value in given}
     output_format, seed = inputs.pop("format"), inputs.pop("seed", None)
 
+    label = spec = None
     if "s" in inputs:
         # CompoundLabel's own messages name s and M, so they carry no prefix.
-        _construct(CompoundLabel, "", inputs["s"], inputs["M"], inputs["a"])
+        label = _construct(CompoundLabel, "", inputs["s"], inputs["M"], inputs["a"])
+    if "c1" in inputs:
+        unit = SPIN_PROJECTION_VALUES  # probabilities takes no r1, r2
+        values = inputs.get("r1", unit), inputs.get("r2", unit)
+        spec = MeasurementSpec(inputs["c1"], inputs["c2"], *values)
     if "s" in inputs and "r1" in inputs:
         # expect and scan average the products r1(u) * r2(v); one that
         # overflows would print NaN or Infinity, which is not JSON.
@@ -384,7 +382,7 @@ def parse_config(argv=None) -> RunConfig:
 
     if seed is None and (command == "verify" or inputs.get("grid", 1) > 1):
         seed = 0  # what they draw with; --grid 1 draws nothing
-    return RunConfig(command, output_format, seed, inputs)
+    return RunConfig(command, output_format, seed, inputs, label, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +483,13 @@ def _record(config: RunConfig, **results) -> dict[str, Any]:
 
 def _cmd_state(config: RunConfig):
     asm = assemble_state(config.label, config.inputs["d"], config.inputs["f"])
+    tensor = asm.tensor.tolist()
     record = _record(
         config,
         coefficients=[t.coefficient for t in asm.terms],
-        tensor=asm.tensor.tolist(),
-        norm_sq=float(np.vdot(asm.tensor, asm.tensor).real),
+        tensor=tensor,
+        # an exactly rounded sum of Python floats: no BLAS kernel picks its bits
+        norm_sq=math.fsum(x * x for z in tensor for x in (z.real, z.imag)),
     )
     return [record], EXIT_OK
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -68,6 +69,10 @@ class CompoundLabel:
     axis: Direction
 
     def __post_init__(self) -> None:
+        for name in ("s", "M"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.s not in (0, 1):
             raise ValueError(f"total spin s must be 0 or 1, got {self.s!r}")
         if self.M not in range(-self.s, self.s + 1):

@@ -83,27 +83,27 @@ def _norm_gaps(a: np.ndarray) -> np.ndarray:
 def _check_kernel_unitarity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION])
     x = np.fromiter((kernels.xi_half(i, f) for i, f in rows), (complex, (2, 2)), samples)
-    return samples, x @ _dagger(x) - np.eye(2)
+    return x @ _dagger(x) - np.eye(2)
 
 
 def _check_kernel_hermiticity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION])
     pairs = ((kernels.xi_half(f, i), kernels.xi_half(i, f)) for i, f in rows)
     x = np.fromiter(pairs, (complex, (2, 2, 2)), samples)
-    return samples, x[:, 0] - _dagger(x[:, 1])
+    return x[:, 0] - _dagger(x[:, 1])
 
 
 def _check_kernel_composition(rng, samples):
     rows = _draw(rng, samples, 3 * [_DIRECTION])
     triples = ([kernels.xi_half(*p) for p in ((a, c), (a, b), (b, c))] for a, b, c in rows)
     x = np.fromiter(triples, (complex, (3, 2, 2)), samples)
-    return samples, x[:, 0] - x[:, 1] @ x[:, 2]
+    return x[:, 0] - x[:, 1] @ x[:, 2]
 
 
 def _check_zeta_normalization(rng, samples):
     rows = _draw(rng, samples, [_DIRECTION])
     z = np.array([kernels.zeta_spin1(m, a) for (a,) in rows for m in (1, 0, -1)])
-    return 3 * samples, _norm_gaps(z)
+    return _norm_gaps(z)
 
 
 # The Clebsch–Gordan coefficients of (1, 1), (1, 0), (1, -1), (0, 0), one row
@@ -125,19 +125,19 @@ def _cg_table() -> np.ndarray:
 
 
 def _check_clebsch_gordan_table(rng, samples):
-    return _CG_TABLE.size, _cg_table() - _CG_TABLE
+    return (_cg_table() - _CG_TABLE).ravel()
 
 
 def _check_clebsch_gordan_orthonormality(rng, samples):
     t = _cg_table()
-    return samples, t @ t.T - np.eye(4)
+    return [t @ t.T - np.eye(4)]
 
 
 def _check_chi_completeness(rng, samples):
     rows = _draw(rng, samples, [_DIRECTION])
     labels = [label for (axis,) in rows for label in _four_labels(axis)]
     c = np.array([[kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in labels])
-    return 4 * samples, _norm_gaps(c)
+    return _norm_gaps(c)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def _check_state_normalization(rng, samples):
             for label in _four_labels(axis)
         ]
     )
-    return 4 * samples, _norm_gaps(t)
+    return _norm_gaps(t)
 
 
 def _check_state_orthonormality(rng, samples):
@@ -162,7 +162,7 @@ def _check_state_orthonormality(rng, samples):
             for a, d, f in _draw(rng, samples, 3 * [_DIRECTION])
         ]
     )
-    return samples, g - np.eye(4)
+    return g - np.eye(4)
 
 
 # The z-axis states (1, 1), (1, 0), (1, -1), (0, 0), one row each over
@@ -175,7 +175,7 @@ _STANDARD_PATTERNS = _CG_TABLE * [[1.0], [1.0], [-1.0], [1.0]]
 def _check_standard_form_states(rng, samples):
     labels = _four_labels(Z_AXIS)
     got = np.array([states.assemble_state(lb, Z_AXIS, Z_AXIS).tensor for lb in labels])
-    return samples, got - _STANDARD_PATTERNS
+    return got - _STANDARD_PATTERNS
 
 
 def _check_standard_form_operators(rng, samples):
@@ -184,7 +184,7 @@ def _check_standard_form_operators(rng, samples):
     theta, phi = np.array([(c.theta, c.phi) for c in cs]).T
     cos, sin = np.cos(theta), np.sin(theta)
     want = np.array([[cos, sin * np.exp(-1j * phi)], [sin * np.exp(1j * phi), -cos]])
-    return samples, got - want.transpose(2, 0, 1)
+    return got - want.transpose(2, 0, 1)
 
 
 def _check_axis_aligned_states(rng, samples):
@@ -200,11 +200,10 @@ def _check_axis_aligned_states(rng, samples):
     # two rows; each label's reference tensor weighs them with its pattern.
     etas = np.array(etas)
     outer = (etas[:, 0, :, None, :, None] * etas[:, 1, None, :, None, :]).reshape(-1, 4, 4)
-    gaps = [
-        np.reshape(coeffs, (-1, 4, 4)) - _STANDARD_PATTERNS,
-        np.reshape(tensors, (-1, 4, 4)) - _STANDARD_PATTERNS @ outer,
-    ]
-    return 4 * samples, gaps
+    coeff_gaps = np.reshape(coeffs, (-1, 4, 4)) - _STANDARD_PATTERNS
+    tensor_gaps = np.reshape(tensors, (-1, 4, 4)) - _STANDARD_PATTERNS @ outer
+    # one row per label: its four coefficient gaps, then its four tensor gaps
+    return np.concatenate([coeff_gaps, tensor_gaps], axis=-1).reshape(-1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +213,7 @@ def _check_axis_aligned_states(rng, samples):
 def _check_operator_hermiticity(rng, samples):
     rows = _draw(rng, samples, 2 * [_DIRECTION] + 2 * [_VALUE])
     r = np.array([operators.r_matrix(i, c, OutcomeValues(p, m)) for i, c, p, m in rows])
-    return samples, r - _dagger(r)
+    return r - _dagger(r)
 
 
 def _check_operator_spectrum(rng, samples):
@@ -222,7 +221,7 @@ def _check_operator_spectrum(rng, samples):
     for p, m, i, c in _draw(rng, samples, 2 * [_VALUE] + 2 * [_DIRECTION]):
         r.append(operators.r_matrix(i, c, OutcomeValues(p, m)))
         want.append(sorted((p, m)))
-    return samples, np.linalg.eigvalsh(r) - want
+    return np.linalg.eigvalsh(r) - want
 
 
 def _check_operator_covariance(rng, samples):
@@ -234,7 +233,7 @@ def _check_operator_covariance(rng, samples):
         r1, r2 = operators.r_matrix(d1, c, values), operators.r_matrix(d2, c, values)
         blocks.append((r1, r2, kernels.xi_half(d2, d1).conj()))
     r1, r2, v = np.array(blocks).swapaxes(0, 1)
-    return samples, r2 - v @ r1 @ _dagger(v)
+    return r2 - v @ r1 @ _dagger(v)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def _check_oracle_equivalence(rng, samples):
     for label, spec, (d, f) in _random_problems(rng, samples, 2):
         matrix = expectation.expectation_matrix(label, spec, d, f)
         gaps.append(matrix - expectation.expectation_oracle(label, spec))
-    return samples, gaps
+    return gaps
 
 
 def _check_basis_invariance(rng, samples):
@@ -271,7 +270,7 @@ def _check_basis_invariance(rng, samples):
         grid = product(dirs[:5], dirs[5:])
         report = expectation.verify_basis_invariance(label, spec, grid)
         spreads.append(report.basis_invariance_residual)
-    return samples, spreads
+    return spreads
 
 
 def _check_probability_completeness(rng, samples):
@@ -284,7 +283,7 @@ def _check_probability_completeness(rng, samples):
     )
     # each quadruple's sum off 1, and each probability's distance from [0, 1]
     gaps = np.hstack([p.sum(axis=1, keepdims=True) - 1.0, p - np.clip(p, 0.0, 1.0)])
-    return 4 * samples, gaps
+    return gaps
 
 
 def _check_singlet_cosine_law(rng, samples):
@@ -297,7 +296,7 @@ def _check_singlet_cosine_law(rng, samples):
         want = -math.cos(angle_between(Z_AXIS, c2))
         matrix = expectation.expectation_matrix(label, spec, d, f)
         values.append((matrix - want, expectation.expectation_oracle(label, spec) - want))
-    return samples, values
+    return values
 
 
 def _check_singlet_rotation_invariance(rng, samples):
@@ -308,7 +307,7 @@ def _check_singlet_rotation_invariance(rng, samples):
             Direction(c1.theta, c1.phi + delta), Direction(c2.theta, c2.phi + delta)
         )
         gaps.append(base - turned)
-    return samples, gaps
+    return gaps
 
 
 def _check_chsh_extremum(rng, samples):
@@ -320,13 +319,13 @@ def _check_chsh_extremum(rng, samples):
         Direction(math.pi / 4, 0.0),
         Direction(3.0 * math.pi / 4, 0.0),
     )
-    return samples, abs(s) - 2.0 * math.sqrt(2.0)
+    return abs(s) - 2.0 * math.sqrt(2.0)
 
 
 # (name, check, samples, tolerance) for each check, in the order they are
-# reported.  A check takes its own generator and its sample count and returns
-# the number of samples it reports with its residuals, a number or an array
-# of any shape.
+# reported.  A check takes its own generator and the row's sample count, which
+# checks of fixed tables ignore, and returns its residuals: one leading row
+# per sample it reports, or one number for a single sample.
 _CHECKS = (
     ("kernel_unitarity", _check_kernel_unitarity, 1000, 1e-12),
     ("kernel_hermiticity", _check_kernel_hermiticity, 1000, 1e-12),
@@ -361,7 +360,7 @@ def _usable_cpus() -> int:
 
 
 def _run_check(seed: int, index: int) -> tuple[int, float]:
-    """Row ``index`` of _CHECKS on its own stream: (samples, largest residual).
+    """Row ``index`` of _CHECKS on its own stream: (residual rows, largest residual).
 
     The stream is ``np.random.SeedSequence(seed).spawn(len(_CHECKS))[index]``,
     so a check's draws depend only on the seed and its row.
@@ -369,8 +368,8 @@ def _run_check(seed: int, index: int) -> tuple[int, float]:
     _, check, samples, _ = _CHECKS[index]
     # the index-th child of SeedSequence(seed), without spawning the others
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    count, residuals = check(rng, samples)
-    return count, float(np.max(np.abs(residuals)))
+    residuals = np.atleast_1d(check(rng, samples))
+    return len(residuals), float(np.max(np.abs(residuals)))
 
 
 def run_verification(

@@ -5,14 +5,17 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import spinpair.cli as cli_mod
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
 import spinpair.verify as verify_mod
@@ -202,11 +205,13 @@ class TestParsing:
             ("verify", b"[1, 2]"),
             ("expect", b'{"s": 0, "M": 0, "c1": {"theta": 0, "psi": 1}, "c2": "1,0"}'),
             ("expect", b'{"s": 0, "M": 0, "c1": 5, "c2": "1,0"}'),
+            ("verify", b"[" * 200_000 + b"]" * 200_000),  # the decoder's RecursionError
         ],
         ids=[
             "tol-number", "tol-zero", "tol-inf", "c2-inf", "r1-overflow", "not-utf8",
             "unknown-key", "seed-negative-verify", "seed-negative-expect", "r1-booleans",
             "r2-boolean", "tol-boolean", "top-level-list", "c1-unknown-key", "c1-number",
+            "deep-nesting",
         ],
     )
     def test_malformed_config_files(self, tmp_path, command, body):
@@ -462,6 +467,31 @@ class TestParsing:
         assert parse_config(expect + ["2", "--seed", "7"]).seed == 7
         assert parse_config(["verify"]).seed == 0
         assert parse_config(["state", "--s", "0", "--M", "0"]).seed is None
+
+    @pytest.mark.parametrize(
+        "argv, labels, specs",
+        [
+            ("state --s 1 --M 0", 1, 0),
+            ("operator --c1 0,0 --c2 1,0", 0, 1),
+            ("probabilities --s 0 --M 0 --c1 0,0 --c2 1,0", 1, 1),
+            ("expect --s 0 --M 0 --c1 0,0 --c2 1,0 --grid 3", 1, 1),
+        ],
+    )
+    def test_a_run_builds_its_label_and_spec_once(self, capsys, monkeypatch, argv, labels, specs):
+        # parse_config validates them and the command reads the same objects
+        built = Counter()
+
+        def counted(cls):
+            def build(*args):
+                built[cls.__name__] += 1
+                return cls(*args)
+
+            return build
+
+        for cls in (cli_mod.CompoundLabel, cli_mod.MeasurementSpec):
+            monkeypatch.setattr(cli_mod, cls.__name__, counted(cls))
+        assert main(argv.split()) == EXIT_OK
+        assert (built["CompoundLabel"], built["MeasurementSpec"]) == (labels, specs)
 
 
 class TestCommands:
@@ -874,11 +904,24 @@ def _numpy_dispatch_targets() -> str:
     return " ".join(__cpu_dispatch__)
 
 
+# The variables that put NumPy, and on x86-64 OpenBLAS, on baseline arithmetic.
+# OpenBLAS warns on stderr of a core type its build for this machine lacks.
+_BASELINE_ARITHMETIC = ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+
+
+def _baseline_arithmetic_env() -> dict[str, str]:
+    env = {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatch_targets()}
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        env["OPENBLAS_CORETYPE"] = "Prescott"
+    return env
+
+
 class TestSubprocess:
     @pytest.mark.parametrize(
         "argv",
         [
-            "state --s 1 --M 0 --a 0.4,1 --d 0.7,2.5 --f 1.1,0.3",
+            # an input whose norm_sq a BLAS dot product rounds by the CPU
+            "state --s 1 --M 1 --a 2.95,1.51 --d 0.17,2.6 --f 2.3,3.01",
             "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --grid 4 --seed 3",
             "scan --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 1.1,0.3"
             " --param c2.theta --start 0 --stop 180deg --steps 181",
@@ -886,15 +929,12 @@ class TestSubprocess:
         ids=["state", "expect-grid", "scan"],
     )
     def test_stdout_does_not_depend_on_numpy_simd_targets(self, argv):
-        # With NumPy's dispatched SIMD loops switched off, NumPy may round a
-        # complex product differently; the records must not change.
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
-        }
+        # With NumPy's dispatched SIMD loops and OpenBLAS's tuned kernels
+        # switched off, NumPy may round a complex product or a dot product
+        # differently; the records must not change.
+        env = {k: v for k, v in os.environ.items() if k not in _BASELINE_ARITHMETIC}
         outputs = []
-        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": _numpy_dispatch_targets()}):
+        for extra in ({}, _baseline_arithmetic_env()):
             proc = subprocess.run(
                 [sys.executable, "-m", "spinpair", *argv.split()],
                 env={**env, **extra},

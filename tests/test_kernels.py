@@ -324,3 +324,15 @@ class TestCompoundLabel:
     def test_valid_labels_pass(self):
         for s, M in ((1, 1), (1, 0), (1, -1), (0, 0)):
             CompoundLabel(s, M, Z_AXIS)
+
+    @pytest.mark.parametrize(
+        "s, M, name",
+        [(1.0, 0, "s"), (1, 0.0, "M"), (True, True, "s"), (1, False, "M"), ("1", 0, "s")],
+    )
+    def test_rejects_a_non_integer_quantum_number(self, s, M, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            CompoundLabel(s, M, Z_AXIS)
+
+    def test_numpy_integers_pass(self):
+        label = CompoundLabel(np.int64(1), np.int32(-1), Z_AXIS)
+        assert (label.s, label.M) == (1, -1)

@@ -104,10 +104,12 @@ def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt
 
 
 def _alone(seed, row, index):
-    """A _CHECKS row run by itself on stream ``index`` of ``seed``: (samples, worst)."""
+    """A _CHECKS row run by itself on stream ``index`` of ``seed``: (residual
+    rows, worst); a check that returns one number reports one sample."""
     _, check, samples, _ = row
     stream = np.random.SeedSequence(seed).spawn(len(verify._CHECKS))[index]
-    count, residuals = check(np.random.default_rng(stream), samples)
+    residuals = check(np.random.default_rng(stream), samples)
+    count = len(residuals) if np.ndim(residuals) else 1
     return count, float(np.max(np.abs(residuals)))
 
 
@@ -115,10 +117,37 @@ def _outcomes(results):
     return [(r.name, r.samples, r.max_residual) for r in results]
 
 
+# The samples each check reports: the residual rows it returns.
+_REPORTED_SAMPLES = {
+    "kernel_unitarity": 1000,
+    "kernel_hermiticity": 1000,
+    "kernel_composition": 1000,
+    "zeta_normalization": 300,
+    "clebsch_gordan_table": 16,
+    "clebsch_gordan_orthonormality": 1,
+    "chi_completeness": 400,
+    "state_normalization": 400,
+    "state_orthonormality": 100,
+    "standard_form_states": 4,
+    "standard_form_operators": 200,
+    "axis_aligned_states": 400,
+    "operator_hermiticity": 300,
+    "operator_spectrum": 300,
+    "operator_covariance": 300,
+    "oracle_equivalence": 1000,
+    "basis_invariance": 100,
+    "probability_completeness": 400,
+    "singlet_cosine_law": 181,
+    "singlet_rotation_invariance": 100,
+    "chsh_extremum": 1,
+}
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 def test_each_check_runs_alone_on_its_own_stream(seed):
     results = verify.run_verification(seed)
     assert [r.name for r in results] == list(verify.DEFAULT_TOLERANCES)
+    assert {r.name: r.samples for r in results} == _REPORTED_SAMPLES
     for index, (row, result) in enumerate(zip(verify._CHECKS, results)):
         assert (result.samples, result.max_residual) == _alone(seed, row, index), row[0]
 
@@ -128,14 +157,14 @@ def test_replacing_one_check_leaves_the_others_unchanged(monkeypatch):
 
     def greedy(rng, samples):
         rng.random(10_000)  # far more draws than the check it replaces
-        return samples, 0.0
+        return np.zeros((7, 3))  # and not as many rows as the row's 100 samples
 
     rows = list(verify._CHECKS)
     index = [row[0] for row in rows].index("zeta_normalization")
     rows[index] = ("zeta_normalization", greedy, *rows[index][2:])
     monkeypatch.setattr(verify, "_CHECKS", tuple(rows))
     after = _outcomes(verify.run_verification(5))
-    assert after[index] == ("zeta_normalization", 100, 0.0)
+    assert after[index] == ("zeta_normalization", 7, 0.0)
     assert after[:index] + after[index + 1 :] == before[:index] + before[index + 1 :]
 
 
@@ -193,5 +222,5 @@ def test_a_flipped_coupling_sign_fails_both_clebsch_gordan_checks(monkeypatch, s
     checks = [row for row in verify._CHECKS if row[0].startswith("clebsch_gordan_")]
     assert len(checks) == 2
     for name, check, samples, tol in checks:
-        _, residuals = check(rng, samples)
+        residuals = check(rng, samples)
         assert np.max(np.abs(residuals)) > tol, name
