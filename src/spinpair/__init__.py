@@ -9,7 +9,7 @@ assembled from closed-form direction-change amplitudes.
 
 __version__ = "0.1.0"
 
-from .directions import Direction, Z_AXIS, angle_between, unit_vector
+from .directions import Direction, Directions, Z_AXIS, angle_between, unit_vector
 from .kernels import (
     B_INDEX_ORDER,
     MINUS,
@@ -51,6 +51,7 @@ from .verify import CheckResult, DEFAULT_TOLERANCES, run_verification
 __all__ = [
     "__version__",
     "Direction",
+    "Directions",
     "Z_AXIS",
     "angle_between",
     "unit_vector",

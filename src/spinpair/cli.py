@@ -519,8 +519,10 @@ def _correlation(label: CompoundLabel, spec: MeasurementSpec, pairs) -> dict[str
 def _cmd_expect(config: RunConfig):
     rng = np.random.default_rng(config.seed)  # None only for --grid 1: no draws
     draw, n = verify_mod._draw, config.inputs["grid"] - 1
-    ds = [config.inputs["d"]] + [d for (d,) in draw(rng, n, [verify_mod._DIRECTION])]
-    fs = [config.inputs["f"]] + [f for (f,) in draw(rng, n, [verify_mod._DIRECTION])]
+    (more_d,) = draw(rng, n, [verify_mod._DIRECTION])
+    (more_f,) = draw(rng, n, [verify_mod._DIRECTION])
+    ds = [config.inputs["d"], *more_d.points()]
+    fs = [config.inputs["f"], *more_f.points()]
     results = _correlation(config.label, config.spec, [(d, f) for d in ds for f in fs])
     return [_record(config, **results)], EXIT_OK
 

@@ -1,9 +1,14 @@
-"""Measurement directions on the unit sphere."""
+"""Measurement directions on the unit sphere, one at a time or as a batch."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .batch import Complexes, rect
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,6 +28,9 @@ class Direction:
 
     theta: float
     phi: float
+
+    # cos, sin, rect and complex zero, as the formula bodies use them here
+    _arithmetic = (math.cos, math.sin, cmath.rect, 0j)
 
     def __post_init__(self) -> None:
         theta = float(self.theta)
@@ -46,6 +54,43 @@ class Direction:
 
 
 Z_AXIS = Direction(0.0, 0.0)
+
+
+class Directions:
+    """A batch of directions: float64 arrays of theta and of phi, one shape.
+
+    Each (theta, phi) pair is reduced exactly as Direction reduces it, so
+    point k of a batch has the angles of ``Direction(theta[k], phi[k])``.
+    The formula bodies run on a batch with NumPy's cos and sin, which give
+    the bits of ``math.cos`` and ``math.sin``, and with Complexes values.
+    """
+
+    __slots__ = ("theta", "phi")
+    __iter__ = None  # not a sequence: points() gives the Direction objects
+    _arithmetic = (np.cos, np.sin, rect, Complexes(0.0, 0.0))
+
+    def __init__(self, theta, phi) -> None:
+        theta, phi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta, phi)))
+        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+            raise ValueError("direction angles must be finite")
+        theta = np.fmod(theta, TWO_PI)
+        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+        flip = theta > math.pi
+        theta = np.where(flip, TWO_PI - theta, theta)
+        phi = np.fmod(np.where(flip, phi + math.pi, phi), TWO_PI)
+        phi = np.where(phi < 0.0, phi + TWO_PI, phi)
+        phi = np.where(phi >= TWO_PI, 0.0, phi)
+        self.theta = theta + 0.0
+        self.phi = phi + 0.0
+
+    def __getitem__(self, index) -> Directions:
+        """The directions at a NumPy ``index`` into the batch axes."""
+        return Directions(self.theta[index], self.phi[index])
+
+    def points(self) -> list[Direction]:
+        """The batch as Direction objects, in row-major order."""
+        angles = zip(self.theta.ravel().tolist(), self.phi.ravel().tolist())
+        return [Direction(theta, phi) for theta, phi in angles]
 
 
 def angle_between(a: Direction, b: Direction) -> float:

@@ -12,6 +12,11 @@ subsystem index, between assembled state tensors.  They agree identically,
 and the matrix route is additionally independent of the intermediate
 directions (d, f) it is evaluated in; ``verify_basis_invariance`` measures
 both facts.
+
+``amplitude_psi``, ``outcome_probabilities`` and the bodies of the two
+routes, ``_oracle_route`` and ``_matrix_route``, run unchanged on one point
+or on a batch (see ``batch``); ``expectation_oracle`` and
+``expectation_matrix`` take one point.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .batch import stack, unstack
 from .directions import Direction, Z_AXIS
 from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SpinHalfLabel, chi, xi_half
 from .operators import (
@@ -75,8 +81,8 @@ def amplitude_psi(
     v: SpinHalfLabel,
 ) -> complex:
     """Joint amplitude for outcomes (u, v) along (c1, c2)."""
-    x1 = xi_half(Z_AXIS, c1).tolist()
-    x2 = xi_half(Z_AXIS, c2).tolist()
+    x1 = unstack(xi_half(Z_AXIS, c1), 2)
+    x2 = unstack(xi_half(Z_AXIS, c2), 2)
     # column u of x1 and column v of x2, rows (plus, minus) = (m1, m2) labels
     a_p, a_m = x1[0][u], x1[1][u]
     b_p, b_m = x2[0][v], x2[1][v]
@@ -95,16 +101,20 @@ def outcome_probabilities(
 ) -> np.ndarray:
     """The four joint outcome probabilities |Psi(u, v)|^2 in B_INDEX_ORDER.
 
-    Nonnegative with unit sum to rounding.
+    Nonnegative with unit sum to rounding; on a batch, along the last axis.
     """
-    return np.array(
-        [abs(amplitude_psi(label, c1, c2, u, v)) ** 2 for u, v in B_INDEX_ORDER]
-    )
+    moduli = [abs(amplitude_psi(label, c1, c2, u, v)) for u, v in B_INDEX_ORDER]
+    return stack([m * m for m in moduli], (4,))
 
 
 def expectation_oracle(label: CompoundLabel, spec: MeasurementSpec) -> float:
     """Expectation value as the probability-weighted sum of value products."""
-    p = outcome_probabilities(label, spec.c1, spec.c2).tolist()
+    return _oracle_route(label, spec)
+
+
+def _oracle_route(label: CompoundLabel, spec: MeasurementSpec):
+    """``expectation_oracle``'s value, on one point or a batch."""
+    p = unstack(outcome_probabilities(label, spec.c1, spec.c2), 1)
     r1p, r1m = spec.values1.r_plus, spec.values1.r_minus
     r2p, r2m = spec.values2.r_plus, spec.values2.r_minus
     # p[k] * r1(u) * r2(v) over (u, v) in B_INDEX_ORDER, each onto 0.0 in turn
@@ -123,13 +133,19 @@ def expectation_matrix(
     above IMAG_TOLERANCE * max(1, max|r1| * max|r2|) an
     InternalConsistencyError is raised.
     """
+    return _matrix_route(label, spec, d, f)
+
+
+def _matrix_route(label: CompoundLabel, spec: MeasurementSpec, d, f):
+    """``expectation_matrix``'s value, on one point or a batch; the imaginary
+    part is checked at every point."""
     # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
-    # vdot(Psi, r1 @ Psi @ r2.T), on the Python complex numbers _tensor gives.
+    # vdot(Psi, r1 @ Psi @ r2.T), on the values _tensor gives.
     p00, p01, p10, p11 = _tensor(label, d, f)[0]
     r1, r2 = operator_pair(spec, d, f)
-    (a00, a01), (a10, a11) = r1.tolist()
-    (b00, b01), (b10, b11) = r2.tolist()
+    (a00, a01), (a10, a11) = unstack(r1, 2)
+    (b00, b01), (b10, b11) = unstack(r2, 2)
     m00, m01 = a00 * p00 + a01 * p10, a00 * p01 + a01 * p11  # r1 @ Psi
     m10, m11 = a10 * p00 + a11 * p10, a10 * p01 + a11 * p11
     value = (
@@ -142,12 +158,12 @@ def expectation_matrix(
     # the bound is IMAG_TOLERANCE * max(1, largest value product), and the
     # product is formed only once the residue passes IMAG_TOLERANCE.
     imag = abs(value.imag)
-    if imag > IMAG_TOLERANCE and imag > IMAG_TOLERANCE * (
-        spec.values1.largest * spec.values2.largest
+    over = imag > IMAG_TOLERANCE  # a bool, or one per point of a batch
+    if over is not False and np.any(
+        over & (imag > IMAG_TOLERANCE * (spec.values1.largest * spec.values2.largest))
     ):
-        raise InternalConsistencyError(
-            f"expectation value has imaginary part {value.imag!r}"
-        )
+        worst = value.imag if over is True else float(np.max(imag))
+        raise InternalConsistencyError(f"expectation value has imaginary part {worst!r}")
     return value.real
 
 

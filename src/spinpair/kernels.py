@@ -10,14 +10,15 @@ coefficients referred to an arbitrary quantization axis.
 
 All functions are pure; return values are plain numbers or fresh numpy
 arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
-``_xi_entries`` and ``_zeta_entries``, which return their entries as a list
-of Python complex numbers; the public kernels are arrays over those lists,
-and the matrix route of the package reads the lists directly.
+``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
+the public kernels are arrays over those lists, and the matrix route of the
+package reads the lists directly.  Every kernel runs unchanged on one point
+or on a batch (a ``Directions``, or a label whose axis is one): the entries
+are then Complexes, the arrays have the batch axes first (see ``batch``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .batch import stack, unstack
 from .directions import Direction
 
 SQRT_HALF = math.sqrt(0.5)
@@ -79,15 +81,16 @@ class CompoundLabel:
             raise ValueError(f"M must satisfy |M| <= s, got M={self.M!r} for s={self.s}")
 
 
-def _xi_entries(initial: Direction, final: Direction) -> list[complex]:
-    """The four entries of ``xi_half(initial, final)``, row major, as Python
-    complex numbers: the formulas themselves, for callers that would only
-    unpack an array."""
-    ci = math.cos(initial.theta / 2.0)
-    si = math.sin(initial.theta / 2.0)
-    cf = math.cos(final.theta / 2.0)
-    sf = math.sin(final.theta / 2.0)
-    w = cmath.exp(1j * (initial.phi - final.phi))
+def _xi_entries(initial, final) -> list:
+    """The four entries of ``xi_half(initial, final)``, row major: the
+    formulas themselves, for callers that would only unpack an array."""
+    # a batch's arithmetic if either direction is one
+    cos, sin, rect, _ = (final if type(initial) is Direction else initial)._arithmetic
+    ci = cos(initial.theta / 2.0)
+    si = sin(initial.theta / 2.0)
+    cf = cos(final.theta / 2.0)
+    sf = sin(final.theta / 2.0)
+    w = rect(1.0, initial.phi - final.phi)  # exp(1j * (phi_i - phi_f)), bit for bit
     # w * si * sf is (w * si) * sf, so the shared products keep every bit
     wsi = w * si
     wci = w * ci
@@ -119,25 +122,26 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Complex 2x2 matrix.
+        Complex 2x2 matrix, one per point of a batch.
     """
-    return np.array(_xi_entries(initial, final)).reshape(2, 2)
+    return stack(_xi_entries(initial, final), (2, 2))
 
 
-def _zeta_entries(M: int, a: Direction) -> list[complex]:
-    """The three entries of ``zeta_spin1(M, a)`` as Python complex numbers."""
+def _zeta_entries(M: int, a) -> list:
+    """The three entries of ``zeta_spin1(M, a)``."""
+    cos, sin, rect, zero = a._arithmetic
     th = a.theta
-    s = math.sin(th)
-    ep = cmath.exp(1j * a.phi)
-    em = ep.conjugate()  # == cmath.exp(-1j * a.phi), bit for bit
+    s = sin(th)
+    ep = rect(1.0, a.phi)  # exp(1j * a.phi), bit for bit
+    em = ep.conjugate()  # == exp(-1j * a.phi), bit for bit
     if M == 1:
-        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
-        return [c2 * em, SQRT_HALF * s + 0j, s2 * ep]
+        c, h = cos(th / 2.0), sin(th / 2.0)
+        return [c * c * em, zero + SQRT_HALF * s, h * h * ep]
     if M == 0:
-        return [-SQRT_HALF * s * em, math.cos(th) + 0j, SQRT_HALF * s * ep]
+        return [-SQRT_HALF * s * em, zero + cos(th), SQRT_HALF * s * ep]
     if M == -1:
-        c2, s2 = math.cos(th / 2.0) ** 2, math.sin(th / 2.0) ** 2
-        return [-s2 * em, SQRT_HALF * s + 0j, -c2 * ep]
+        c, h = cos(th / 2.0), sin(th / 2.0)
+        return [-(h * h) * em, zero + SQRT_HALF * s, -(c * c) * ep]
     raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
 
 
@@ -148,7 +152,7 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    return np.array(_zeta_entries(M, a))
+    return stack(_zeta_entries(M, a), (3,))
 
 
 # Coupling coefficients of the four total-spin labels (s, M), one row per
@@ -199,7 +203,7 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     """
     if label.s == 0:
         return complex(clebsch_gordan_half_half(0, 0, m1, m2))
-    zp, z0, zm = zeta_spin1(label.M, label.axis).tolist()
+    zp, z0, zm = unstack(zeta_spin1(label.M, label.axis), 1)
     # the sum's terms onto 0j in M_l order (+1, 0, -1)
     return (
         0j

@@ -7,11 +7,12 @@ four Kronecker products, one per pair of projection labels:
 
 where eta1 is taken along the first intermediate direction d and eta2 along
 the second one f.  Components follow B_INDEX_ORDER with the first subsystem
-major.  ``_tensor`` computes that sum on Python complex numbers, which round
-alike on every host (NumPy's SIMD loops may fuse a multiply and an add, so
-the last bit of a NumPy product can depend on the CPU).  ``assemble_state``
-packages the sum with its terms as arrays, and the matrix route of
-``expectation`` reads ``_tensor``'s lists alone.
+major.  ``_tensor`` computes that sum on Python complex numbers, or on the
+Complexes of a batch, which round alike on every host (NumPy's SIMD loops
+may fuse a multiply and an add, so the last bit of a NumPy product can
+depend on the CPU).  ``assemble_state`` packages the sum with its terms as
+arrays, and the matrix route of ``expectation`` reads ``_tensor``'s lists
+alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .batch import Complexes, stack
 from .directions import Direction, Z_AXIS
 from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, _xi_entries
 
@@ -54,14 +56,12 @@ class StateAssembly:
     tensor: np.ndarray
 
 
-def _tensor(
-    label: CompoundLabel, d: Direction, f: Direction
-) -> tuple[list[complex], list[complex], list[complex], list[complex]]:
+def _tensor(label: CompoundLabel, d, f) -> tuple[list, list, list, list]:
     """The tensor of the state (s, M) in the (d, f) basis, with its parts.
 
     Returns (tensor, coefficients, eta1, eta2) as lists of Python complex
-    numbers: the coefficients are the ``chi`` values over B_INDEX_ORDER, and
-    eta1 (eta2) holds the entries of ``xi_half(Z_AXIS, d)``
+    numbers, or of a batch's values: the coefficients are the ``chi`` values
+    over B_INDEX_ORDER, and eta1 (eta2) holds the entries of ``xi_half(Z_AXIS, d)``
     (``xi_half(Z_AXIS, f)``) row major, row m being the eta vector of
     projection m.  Component 2 i + j of the tensor is
 
@@ -93,16 +93,17 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     vectors exactly the rows of ``xi_half(Z_AXIS, d)`` and
     ``xi_half(Z_AXIS, f)``; no rescaling happens here.
     ``terms`` and ``tensor`` are read-only arrays over what ``_tensor``
-    computes.
+    computes.  On a batch the arrays have the batch axes first, and a
+    coefficient that depends on the point is an array over them.
     """
     tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
-    eta1 = _readonly(np.array(eta1).reshape(2, 2))
-    eta2 = _readonly(np.array(eta2).reshape(2, 2))
+    eta1 = _readonly(stack(eta1, (2, 2)))
+    eta2 = _readonly(stack(eta2, (2, 2)))
     terms = tuple(
-        StateTerm(c, eta1[m1], eta2[m2])
+        StateTerm(c.array() if isinstance(c, Complexes) else c, eta1[..., m1, :], eta2[..., m2, :])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
-    return StateAssembly(label, d, f, terms, _readonly(np.array(tensor)))
+    return StateAssembly(label, d, f, terms, _readonly(stack(tensor, (4,))))
 
 
 def reduce_axis_aligned(

@@ -1,26 +1,27 @@
 """Self-verification sweeps behind the command line ``verify`` entry point.
 
 Each check draws its samples from a generator of its own, seeded from the
-run's seed and the check's row, calls the library once per sample, reduces
-the residuals over all samples as arrays and passes when the worst is within
-tolerance.  The checks run on forked worker processes, one per usable CPU.
-Kernel and engine functions are looked up through their modules at call
-time, so a harness that swaps one out (to confirm the suite notices) does
-not need to reload anything; forked workers inherit the swap.
+run's seed and the check's row, evaluates the library on them as one batch
+per label (see ``batch``) and returns the magnitude of every residual, one
+row per sample; it passes when the worst is within tolerance.  A residual is
+formed from real and imaginary parts with float64 +, -, * and hypot only,
+which round alike on every host, so the report does not depend on the CPU.
+The checks run in this process, one after another.  Kernel and engine
+functions are looked up through their modules at call time, so a harness
+that swaps one out (to confirm the suite notices) does not need to reload
+anything.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from itertools import product, starmap
-from typing import Iterator
 
 import numpy as np
 
 from . import expectation, kernels, operators, states
-from .directions import Direction, Z_AXIS, angle_between
+from .batch import Complexes, unstack
+from .directions import Direction, Directions, Z_AXIS, angle_between
 from .kernels import B_INDEX_ORDER, CompoundLabel, SQRT_HALF
 from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues
 
@@ -42,68 +43,85 @@ _VALUE = (-3.0, 3.0)
 _LABELS = ((1, 1), (1, 0), (1, -1), (0, 0))
 
 
-def _draw(rng: np.random.Generator, n: int, fields) -> Iterator[list]:
-    """``n`` rows of random ``fields``, built as they are iterated.
+def _draw(rng: np.random.Generator, n: int, fields) -> list:
+    """``n`` random values of each of ``fields``: a Directions per direction,
+    a float64 array per number.
 
-    The numbers come from one ``rng.random`` block drawn before this returns.
-    Read in order they are exactly those of one ``rng.uniform(low, high)``
-    call per column, as ``uniform`` computes ``low + (high - low) * u``.
+    The numbers are one ``rng.random((n, k))`` block, one column per angle or
+    number.  Read row by row they are exactly those of one
+    ``rng.uniform(low, high)`` call per column, as ``uniform`` computes
+    ``low + (high - low) * u``.
     """
     ranges = [r for f in fields for r in (_ANGLES if f == _DIRECTION else (f,))]
     low, high = np.array(ranges).T
-    numbers = iter((low + (high - low) * rng.random((n, len(ranges)))).ravel().tolist())
+    columns = iter((low + (high - low) * rng.random((n, len(ranges)))).T)
+    return [
+        Directions(next(columns), next(columns)) if f == _DIRECTION else next(columns)
+        for f in fields
+    ]
 
-    def field(f):
-        return Direction(next(numbers), next(numbers)) if f == _DIRECTION else next(numbers)
 
-    return ([field(f) for f in fields] for _ in range(n))
-
-
-def _four_labels(axis: Direction) -> list[CompoundLabel]:
+def _four_labels(axis) -> list[CompoundLabel]:
     return [CompoundLabel(s, M, axis) for s, M in _LABELS]
 
 
-def _dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
+def _rows(n: int, *residuals) -> np.ndarray:
+    """``n`` rows, one per sample, of the magnitude of each residual; a
+    residual the same at every sample repeats."""
+    return np.stack([np.broadcast_to(abs(r), (n,)) for r in residuals], axis=-1)
 
 
-def _norm_gaps(a: np.ndarray) -> np.ndarray:
-    """Squared norm minus 1 of each row of ``a``."""
-    return np.sum(np.abs(a) ** 2, axis=-1) - 1.0
+def _gaps(n: int, got, want) -> np.ndarray:
+    """``_rows`` of the entry-by-entry gaps between two matrices of entries."""
+    pairs = (pair for rows in zip(got, want) for pair in zip(*rows))
+    return _rows(n, *(g - w for g, w in pairs))
+
+
+def _product(a, b):
+    """The product of two 2x2 matrices of entries."""
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]
+
+
+def _dagger(a):
+    """The conjugate transpose of a 2x2 matrix of entries."""
+    return [[a[0][i].conjugate(), a[1][i].conjugate()] for i in (0, 1)]
+
+
+def _norm_gap(values):
+    """Squared norm minus 1 of a vector of entries."""
+    return sum(abs(v) * abs(v) for v in values) - 1.0
+
+
+_EYE2 = np.eye(2).tolist()
+_EYE4 = np.eye(4).tolist()
 
 
 # ---------------------------------------------------------------------------
 # kernel identities
-#
-# These 1000-sample checks stack their outputs with np.fromiter, which
-# keeps no list of per-sample arrays alive.
 
 
 def _check_kernel_unitarity(rng, samples):
-    rows = _draw(rng, samples, 2 * [_DIRECTION])
-    x = np.fromiter((kernels.xi_half(i, f) for i, f in rows), (complex, (2, 2)), samples)
-    return x @ _dagger(x) - np.eye(2)
+    i, f = _draw(rng, samples, 2 * [_DIRECTION])
+    x = unstack(kernels.xi_half(i, f), 2)
+    return _gaps(samples, _product(x, _dagger(x)), _EYE2)
 
 
 def _check_kernel_hermiticity(rng, samples):
-    rows = _draw(rng, samples, 2 * [_DIRECTION])
-    pairs = ((kernels.xi_half(f, i), kernels.xi_half(i, f)) for i, f in rows)
-    x = np.fromiter(pairs, (complex, (2, 2, 2)), samples)
-    return x[:, 0] - _dagger(x[:, 1])
+    i, f = _draw(rng, samples, 2 * [_DIRECTION])
+    back, forth = (unstack(kernels.xi_half(*p), 2) for p in ((f, i), (i, f)))
+    return _gaps(samples, back, _dagger(forth))
 
 
 def _check_kernel_composition(rng, samples):
-    rows = _draw(rng, samples, 3 * [_DIRECTION])
-    triples = ([kernels.xi_half(*p) for p in ((a, c), (a, b), (b, c))] for a, b, c in rows)
-    x = np.fromiter(triples, (complex, (3, 2, 2)), samples)
-    return x[:, 0] - x[:, 1] @ x[:, 2]
+    a, b, c = _draw(rng, samples, 3 * [_DIRECTION])
+    ac, ab, bc = (unstack(kernels.xi_half(*p), 2) for p in ((a, c), (a, b), (b, c)))
+    return _gaps(samples, ac, _product(ab, bc))
 
 
 def _check_zeta_normalization(rng, samples):
-    rows = _draw(rng, samples, [_DIRECTION])
-    z = np.array([kernels.zeta_spin1(m, a) for (a,) in rows for m in (1, 0, -1)])
-    return _norm_gaps(z)
+    (a,) = _draw(rng, samples, [_DIRECTION])
+    triples = (unstack(kernels.zeta_spin1(m, a), 1) for m in (1, 0, -1))
+    return np.concatenate([_rows(samples, _norm_gap(z)) for z in triples])
 
 
 # The Clebsch–Gordan coefficients of (1, 1), (1, 0), (1, -1), (0, 0), one row
@@ -124,20 +142,19 @@ def _cg_table() -> np.ndarray:
     return np.array([[cg(s, M, m1, m2) for m1, m2 in B_INDEX_ORDER] for s, M in _LABELS])
 
 
-def _check_clebsch_gordan_table(rng, samples):
+def _check_clebsch_gordan_table(rng):
     return (_cg_table() - _CG_TABLE).ravel()
 
 
-def _check_clebsch_gordan_orthonormality(rng, samples):
+def _check_clebsch_gordan_orthonormality(rng):
     t = _cg_table()
     return [t @ t.T - np.eye(4)]
 
 
 def _check_chi_completeness(rng, samples):
-    rows = _draw(rng, samples, [_DIRECTION])
-    labels = [label for (axis,) in rows for label in _four_labels(axis)]
-    c = np.array([[kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in labels])
-    return _norm_gaps(c)
+    (axis,) = _draw(rng, samples, [_DIRECTION])
+    rows = ([kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in _four_labels(axis))
+    return np.concatenate([_rows(samples, _norm_gap(row)) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -145,65 +162,58 @@ def _check_chi_completeness(rng, samples):
 
 
 def _check_state_normalization(rng, samples):
-    t = np.array(
-        [
-            states.assemble_state(label, d, f).tensor
-            for d, f, axis in _draw(rng, samples, 3 * [_DIRECTION])
-            for label in _four_labels(axis)
-        ]
-    )
-    return _norm_gaps(t)
+    d, f, axis = _draw(rng, samples, 3 * [_DIRECTION])
+    tensors = (states.assemble_state(lb, d, f).tensor for lb in _four_labels(axis))
+    return np.concatenate([_rows(samples, _norm_gap(unstack(t, 1))) for t in tensors])
 
 
 def _check_state_orthonormality(rng, samples):
-    g = np.array(
-        [
-            states.gram_matrix([states.assemble_state(lb, d, f) for lb in _four_labels(a)])
-            for a, d, f in _draw(rng, samples, 3 * [_DIRECTION])
-        ]
-    )
-    return g - np.eye(4)
+    a, d, f = _draw(rng, samples, 3 * [_DIRECTION])
+    t = [unstack(states.assemble_state(lb, d, f).tensor, 1) for lb in _four_labels(a)]
+    gram = [[sum(x.conjugate() * y for x, y in zip(ti, tj)) for tj in t] for ti in t]
+    return _gaps(samples, gram, _EYE4)
 
 
 # The z-axis states (1, 1), (1, 0), (1, -1), (0, 0), one row each over
 # B_INDEX_ORDER: their tensors in the z basis and their coefficients.  They
 # are the coupling coefficients, with the sign the spin-1 direction change
 # along the z axis puts on (1, -1).
-_STANDARD_PATTERNS = _CG_TABLE * [[1.0], [1.0], [-1.0], [1.0]]
+_STANDARD_PATTERNS = (_CG_TABLE * [[1.0], [1.0], [-1.0], [1.0]]).tolist()
 
 
-def _check_standard_form_states(rng, samples):
+def _check_standard_form_states(rng):
     labels = _four_labels(Z_AXIS)
-    got = np.array([states.assemble_state(lb, Z_AXIS, Z_AXIS).tensor for lb in labels])
-    return got - _STANDARD_PATTERNS
+    got = [states.assemble_state(lb, Z_AXIS, Z_AXIS).tensor.tolist() for lb in labels]
+    # one row per label: its four components' gaps
+    return np.array([[abs(g - w) for g, w in zip(*rows)] for rows in zip(got, _STANDARD_PATTERNS)])
 
 
 def _check_standard_form_operators(rng, samples):
-    cs = [c for (c,) in _draw(rng, samples, [_DIRECTION])]
-    got = np.array([operators.r_matrix(Z_AXIS, c, SPIN_PROJECTION_VALUES) for c in cs])
-    theta, phi = np.array([(c.theta, c.phi) for c in cs]).T
-    cos, sin = np.cos(theta), np.sin(theta)
-    want = np.array([[cos, sin * np.exp(-1j * phi)], [sin * np.exp(1j * phi), -cos]])
-    return got - want.transpose(2, 0, 1)
+    (c,) = _draw(rng, samples, [_DIRECTION])
+    got = unstack(operators.r_matrix(Z_AXIS, c, SPIN_PROJECTION_VALUES), 2)
+    cos, sin = np.cos(c.theta), np.sin(c.theta)
+    phase = Complexes(np.cos(c.phi), np.sin(c.phi))  # exp(1j * phi)
+    return _gaps(samples, got, [[cos, sin * phase.conjugate()], [sin * phase, -cos]])
 
 
 def _check_axis_aligned_states(rng, samples):
-    etas, coeffs, tensors = [], [], []
-    for d, f in _draw(rng, samples, 2 * [_DIRECTION]):
-        etas.append([kernels.xi_half(Z_AXIS, x) for x in (d, f)])
-        for label in _four_labels(Z_AXIS):
-            asm = states.reduce_axis_aligned(label, d, f)
-            coeffs.append([t.coefficient for t in asm.terms])
-            tensors.append(asm.tensor)
-    # etas[n, 0, m] (etas[n, 1, m]) is the eta vector eta_d(m) (eta_f(m)), and
-    # outer[n, (m1, m2)] = eta_d(m1) (x) eta_f(m2), the kron product of the
-    # two rows; each label's reference tensor weighs them with its pattern.
-    etas = np.array(etas)
-    outer = (etas[:, 0, :, None, :, None] * etas[:, 1, None, :, None, :]).reshape(-1, 4, 4)
-    coeff_gaps = np.reshape(coeffs, (-1, 4, 4)) - _STANDARD_PATTERNS
-    tensor_gaps = np.reshape(tensors, (-1, 4, 4)) - _STANDARD_PATTERNS @ outer
-    # one row per label: its four coefficient gaps, then its four tensor gaps
-    return np.concatenate([coeff_gaps, tensor_gaps], axis=-1).reshape(-1, 8)
+    d, f = _draw(rng, samples, 2 * [_DIRECTION])
+    eta_d, eta_f = (unstack(kernels.xi_half(Z_AXIS, x), 2) for x in (d, f))
+    # outer[k] = eta_d(m1) (x) eta_f(m2) for the k-th (m1, m2) of
+    # B_INDEX_ORDER, the kron product of the two rows; each label's reference
+    # tensor weighs them with its pattern.
+    outer = [
+        [eta_d[m1][i] * eta_f[m2][j] for i in (0, 1) for j in (0, 1)] for m1, m2 in B_INDEX_ORDER
+    ]
+    rows = []
+    for label, pattern in zip(_four_labels(Z_AXIS), _STANDARD_PATTERNS):
+        asm = states.reduce_axis_aligned(label, d, f)
+        want = [sum(p * o[j] for p, o in zip(pattern, outer)) for j in range(4)]
+        # one row per sample: the four coefficient gaps, then the four tensor gaps
+        coefficient_gaps = (t.coefficient - p for t, p in zip(asm.terms, pattern))
+        tensor_gaps = (t - w for t, w in zip(unstack(asm.tensor, 1), want))
+        rows.append(_rows(samples, *coefficient_gaps, *tensor_gaps))
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,106 +221,106 @@ def _check_axis_aligned_states(rng, samples):
 
 
 def _check_operator_hermiticity(rng, samples):
-    rows = _draw(rng, samples, 2 * [_DIRECTION] + 2 * [_VALUE])
-    r = np.array([operators.r_matrix(i, c, OutcomeValues(p, m)) for i, c, p, m in rows])
-    return r - _dagger(r)
+    i, c, p, m = _draw(rng, samples, 2 * [_DIRECTION] + 2 * [_VALUE])
+    r = unstack(operators.r_matrix(i, c, OutcomeValues(p, m)), 2)
+    return _gaps(samples, r, _dagger(r))
 
 
 def _check_operator_spectrum(rng, samples):
-    r, want = [], []
-    for p, m, i, c in _draw(rng, samples, 2 * [_VALUE] + 2 * [_DIRECTION]):
-        r.append(operators.r_matrix(i, c, OutcomeValues(p, m)))
-        want.append(sorted((p, m)))
-    return np.linalg.eigvalsh(r) - want
+    p, m, i, c = _draw(rng, samples, 2 * [_VALUE] + 2 * [_DIRECTION])
+    (r00, r01), (_, r11) = unstack(operators.r_matrix(i, c, OutcomeValues(p, m)), 2)
+    # the eigenvalues of the Hermitian [[a, b], [conj(b), d]] are
+    # (a + d) / 2 -+ hypot((a - d) / 2, |b|)
+    mean = (r00.real + r11.real) / 2.0
+    half_gap = np.hypot((r00.real - r11.real) / 2.0, abs(r01))
+    return _rows(samples, mean - half_gap - np.minimum(p, m), mean + half_gap - np.maximum(p, m))
 
 
 def _check_operator_covariance(rng, samples):
     # Rebasing the block from intermediate d1 to d2 conjugates it by the
     # complex conjugate of the direction-change matrix between them.
-    blocks = []
-    for d1, d2, c, p, m in _draw(rng, samples, 3 * [_DIRECTION] + 2 * [_VALUE]):
-        values = OutcomeValues(p, m)
-        r1, r2 = operators.r_matrix(d1, c, values), operators.r_matrix(d2, c, values)
-        blocks.append((r1, r2, kernels.xi_half(d2, d1).conj()))
-    r1, r2, v = np.array(blocks).swapaxes(0, 1)
-    return r2 - v @ r1 @ _dagger(v)
+    d1, d2, c, p, m = _draw(rng, samples, 3 * [_DIRECTION] + 2 * [_VALUE])
+    values = OutcomeValues(p, m)
+    r1, r2 = (unstack(operators.r_matrix(d, c, values), 2) for d in (d1, d2))
+    v = [[x.conjugate() for x in row] for row in unstack(kernels.xi_half(d2, d1), 2)]
+    return _gaps(samples, r2, _product(_product(v, r1), _dagger(v)))
 
 
 # ---------------------------------------------------------------------------
 # expectation engine
 
 
-def _random_problems(rng, n: int, k: int):
-    """``n`` random labels and specs (values on [-2, 2)), each with ``k`` more directions.
+def _random_problems(rng, n: int, k: int) -> list:
+    """``n`` random labels and specs (values on [-2, 2)), each with ``k`` more
+    directions, as one (label, spec, more) batch per label of _LABELS;
+    ``more`` has shape (k, samples with that label).
 
     The labels come from one ``rng.integers`` block and everything else from
-    one ``_draw`` block after it, both drawn before this returns.
+    one ``_draw`` block after it.
     """
-    labels = rng.integers(0, 4, n).tolist()
-    rows = _draw(rng, n, 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION])
-
-    def problem(i, axis, c1, c2, p1, m1, p2, m2, *dirs):
-        spec = MeasurementSpec(c1, c2, OutcomeValues(p1, m1), OutcomeValues(p2, m2))
-        return CompoundLabel(*_LABELS[i], axis), spec, dirs
-
-    return (problem(i, *row) for i, row in zip(labels, rows))
+    labels = rng.integers(0, 4, n)
+    fields = 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION]
+    axis, c1, c2, p1, m1, p2, m2, *more = _draw(rng, n, fields)
+    more = Directions(np.array([x.theta for x in more]), np.array([x.phi for x in more]))
+    problems = []
+    for i, (s, M) in enumerate(_LABELS):
+        at = labels == i
+        values = OutcomeValues(p1[at], m1[at]), OutcomeValues(p2[at], m2[at])
+        spec = MeasurementSpec(c1[at], c2[at], *values)
+        problems.append((CompoundLabel(s, M, axis[at]), spec, more[:, at]))
+    return problems
 
 
 def _check_oracle_equivalence(rng, samples):
     gaps = []
-    for label, spec, (d, f) in _random_problems(rng, samples, 2):
-        matrix = expectation.expectation_matrix(label, spec, d, f)
-        gaps.append(matrix - expectation.expectation_oracle(label, spec))
-    return gaps
+    for label, spec, more in _random_problems(rng, samples, 2):
+        matrix = expectation._matrix_route(label, spec, more[0], more[1])
+        gaps.append(matrix - expectation._oracle_route(label, spec))
+    return np.abs(np.concatenate(gaps))
 
 
 def _check_basis_invariance(rng, samples):
     spreads = []
-    for label, spec, dirs in _random_problems(rng, samples, 10):
-        grid = product(dirs[:5], dirs[5:])
-        report = expectation.verify_basis_invariance(label, spec, grid)
-        spreads.append(report.basis_invariance_residual)
-    return spreads
+    for label, spec, more in _random_problems(rng, samples, 10):
+        # the matrix route at the 5 x 5 (d, f) pairs of each problem, pairs first
+        values = expectation._matrix_route(label, spec, more[:5, None], more[None, 5:])
+        spreads.append(values.max(axis=(0, 1)) - values.min(axis=(0, 1)))
+    return np.abs(np.concatenate(spreads))
 
 
 def _check_probability_completeness(rng, samples):
-    p = np.array(
-        [
-            expectation.outcome_probabilities(label, c1, c2)
-            for c1, c2, axis in _draw(rng, samples, 3 * [_DIRECTION])
-            for label in _four_labels(axis)
-        ]
-    )
-    # each quadruple's sum off 1, and each probability's distance from [0, 1]
-    gaps = np.hstack([p.sum(axis=1, keepdims=True) - 1.0, p - np.clip(p, 0.0, 1.0)])
-    return gaps
+    c1, c2, axis = _draw(rng, samples, 3 * [_DIRECTION])
+    rows = []
+    for label in _four_labels(axis):
+        p = expectation.outcome_probabilities(label, c1, c2)
+        # each quadruple's sum off 1, and each probability's distance from [0, 1]
+        rows.append(_rows(samples, sum(unstack(p, 1)) - 1.0, *(p - np.clip(p, 0.0, 1.0)).T))
+    return np.concatenate(rows)
 
 
 def _check_singlet_cosine_law(rng, samples):
-    label = CompoundLabel(0, 0, Z_AXIS)
-    thetas = np.linspace(0.0, math.pi, samples).tolist()
-    values = []
-    for theta, (d, f) in zip(thetas, _draw(rng, samples, 2 * [_DIRECTION])):
-        c2 = Direction(theta, 0.0)
-        spec = MeasurementSpec(Z_AXIS, c2, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
-        want = -math.cos(angle_between(Z_AXIS, c2))
-        matrix = expectation.expectation_matrix(label, spec, d, f)
-        values.append((matrix - want, expectation.expectation_oracle(label, spec) - want))
-    return values
+    singlet = CompoundLabel(0, 0, Z_AXIS)
+    d, f = _draw(rng, samples, 2 * [_DIRECTION])
+    c2 = Directions(np.linspace(0.0, math.pi, samples), 0.0)
+    spec = MeasurementSpec(Z_AXIS, c2, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
+    want = np.array([-math.cos(angle_between(Z_AXIS, c)) for c in c2.points()])
+    matrix = expectation._matrix_route(singlet, spec, d, f)
+    return _rows(samples, matrix - want, expectation._oracle_route(singlet, spec) - want)
 
 
 def _check_singlet_rotation_invariance(rng, samples):
-    gaps = []
-    for c1, c2, delta in _draw(rng, samples, 2 * [_DIRECTION] + [_ANGLES[1]]):
-        base = expectation.singlet_expectation(c1, c2)
-        turned = expectation.singlet_expectation(
-            Direction(c1.theta, c1.phi + delta), Direction(c2.theta, c2.phi + delta)
-        )
-        gaps.append(base - turned)
-    return gaps
+    c1, c2, delta = _draw(rng, samples, 2 * [_DIRECTION] + [_ANGLES[1]])
+    singlet = CompoundLabel(0, 0, Z_AXIS)
+
+    def value(a, b):
+        spec = MeasurementSpec(a, b, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
+        return expectation._oracle_route(singlet, spec)
+
+    turned = (Directions(c.theta, c.phi + delta) for c in (c1, c2))
+    return np.abs(value(c1, c2) - value(*turned))
 
 
-def _check_chsh_extremum(rng, samples):
+def _check_chsh_extremum(rng):
     # Coplanar settings 45 degrees apart saturate the 2*sqrt(2) bound; the
     # sign of the combination depends on which settings are primed.
     s = expectation.chsh_value(
@@ -322,54 +332,34 @@ def _check_chsh_extremum(rng, samples):
     return abs(s) - 2.0 * math.sqrt(2.0)
 
 
-# (name, check, samples, tolerance) for each check, in the order they are
-# reported.  A check takes its own generator and the row's sample count, which
-# checks of fixed tables ignore, and returns its residuals: one leading row
-# per sample it reports, or one number for a single sample.
+# (name, check, tolerance, *args) for each check, in the order they are
+# reported.  A check takes its own generator and args, the number of samples
+# it draws for a check that draws any, and returns its residuals: one leading
+# row per sample it reports, or one number for a single sample.
 _CHECKS = (
-    ("kernel_unitarity", _check_kernel_unitarity, 1000, 1e-12),
-    ("kernel_hermiticity", _check_kernel_hermiticity, 1000, 1e-12),
-    ("kernel_composition", _check_kernel_composition, 1000, 1e-12),
-    ("zeta_normalization", _check_zeta_normalization, 100, 1e-12),
-    ("clebsch_gordan_table", _check_clebsch_gordan_table, 16, 1e-15),
-    ("clebsch_gordan_orthonormality", _check_clebsch_gordan_orthonormality, 1, 1e-15),
-    ("chi_completeness", _check_chi_completeness, 100, 1e-12),
-    ("state_normalization", _check_state_normalization, 100, 1e-12),
-    ("state_orthonormality", _check_state_orthonormality, 100, 1e-12),
-    ("standard_form_states", _check_standard_form_states, 4, 1e-15),
-    ("standard_form_operators", _check_standard_form_operators, 200, 1e-15),
-    ("axis_aligned_states", _check_axis_aligned_states, 100, 1e-12),
-    ("operator_hermiticity", _check_operator_hermiticity, 300, 1e-12),
-    ("operator_spectrum", _check_operator_spectrum, 300, 1e-10),
-    ("operator_covariance", _check_operator_covariance, 300, 1e-12),
-    ("oracle_equivalence", _check_oracle_equivalence, 1000, 1e-10),
-    ("basis_invariance", _check_basis_invariance, 100, 1e-10),
-    ("probability_completeness", _check_probability_completeness, 100, 1e-12),
-    ("singlet_cosine_law", _check_singlet_cosine_law, 181, 1e-10),
-    ("singlet_rotation_invariance", _check_singlet_rotation_invariance, 100, 1e-12),
-    ("chsh_extremum", _check_chsh_extremum, 1, 1e-10),
+    ("kernel_unitarity", _check_kernel_unitarity, 1e-12, 1000),
+    ("kernel_hermiticity", _check_kernel_hermiticity, 1e-12, 1000),
+    ("kernel_composition", _check_kernel_composition, 1e-12, 1000),
+    ("zeta_normalization", _check_zeta_normalization, 1e-12, 100),
+    ("clebsch_gordan_table", _check_clebsch_gordan_table, 1e-15),
+    ("clebsch_gordan_orthonormality", _check_clebsch_gordan_orthonormality, 1e-15),
+    ("chi_completeness", _check_chi_completeness, 1e-12, 100),
+    ("state_normalization", _check_state_normalization, 1e-12, 100),
+    ("state_orthonormality", _check_state_orthonormality, 1e-12, 100),
+    ("standard_form_states", _check_standard_form_states, 1e-15),
+    ("standard_form_operators", _check_standard_form_operators, 1e-15, 200),
+    ("axis_aligned_states", _check_axis_aligned_states, 1e-12, 100),
+    ("operator_hermiticity", _check_operator_hermiticity, 1e-12, 300),
+    ("operator_spectrum", _check_operator_spectrum, 1e-10, 300),
+    ("operator_covariance", _check_operator_covariance, 1e-12, 300),
+    ("oracle_equivalence", _check_oracle_equivalence, 1e-10, 1000),
+    ("basis_invariance", _check_basis_invariance, 1e-10, 100),
+    ("probability_completeness", _check_probability_completeness, 1e-12, 100),
+    ("singlet_cosine_law", _check_singlet_cosine_law, 1e-10, 181),
+    ("singlet_rotation_invariance", _check_singlet_rotation_invariance, 1e-12, 100),
+    ("chsh_extremum", _check_chsh_extremum, 1e-10),
 )
-DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, _, _, tol in _CHECKS}
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_check(seed: int, index: int) -> tuple[int, float]:
-    """Row ``index`` of _CHECKS on its own stream: (residual rows, largest residual).
-
-    The stream is ``np.random.SeedSequence(seed).spawn(len(_CHECKS))[index]``,
-    so a check's draws depend only on the seed and its row.
-    """
-    _, check, samples, _ = _CHECKS[index]
-    # the index-th child of SeedSequence(seed), without spawning the others
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    residuals = np.atleast_1d(check(rng, samples))
-    return len(residuals), float(np.max(np.abs(residuals)))
+DEFAULT_TOLERANCES: dict[str, float] = {name: tol for name, _, tol, *_ in _CHECKS}
 
 
 def run_verification(
@@ -380,28 +370,19 @@ def run_verification(
     ``overrides`` replaces the default tolerance of the named checks.
     Unknown names raise KeyError so a typo cannot silently relax anything.
     A check passes when its largest residual magnitude is within tolerance.
-
-    The checks run on a pool of forked workers, one per usable CPU and at
-    most one per check, which inherit every module attribute as this process
-    holds it.  With one usable CPU, or where ``fork`` does not exist, they
-    run in this process, one after another.  Either way a check's result
-    depends only on the seed, and an exception a check raises is raised here.
+    Check ``index`` draws from ``np.random.SeedSequence(seed).spawn(len(_CHECKS))[index]``,
+    so its result depends only on the seed and its row.
     """
-    import multiprocessing  # here, not at the top: it costs every subcommand's start-up
-
     overrides = dict(overrides or {})
     for name in overrides:
         if name not in DEFAULT_TOLERANCES:
             raise KeyError(f"unknown check name {name!r}")
-    jobs = [(seed, index) for index in range(len(_CHECKS))]
-    workers = min(_usable_cpus(), len(jobs))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        outcomes = list(starmap(_run_check, jobs))
-    else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outcomes = pool.starmap(_run_check, jobs, chunksize=1)
     results = []
-    for (name, _, _, _), (count, residual) in zip(_CHECKS, outcomes):
+    for index, (name, check, _, *args) in enumerate(_CHECKS):
+        # the index-th child of SeedSequence(seed), without spawning the others
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        residuals = np.atleast_1d(check(rng, *args))
+        worst = float(np.max(np.abs(residuals)))
         tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-        results.append(CheckResult(name, count, residual, tol, bool(residual <= tol)))
+        results.append(CheckResult(name, len(residuals), worst, tol, bool(worst <= tol)))
     return results

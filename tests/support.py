@@ -24,8 +24,8 @@ compound_labels = st.builds(
 
 def draw_direction(rng) -> Direction:
     """theta on [0, pi) then phi on [0, 2 pi), as verify draws a direction."""
-    ((d,),) = _draw(rng, 1, [_DIRECTION])
-    return d
+    (ds,) = _draw(rng, 1, [_DIRECTION])
+    return ds.points()[0]
 
 
 four_labels = _four_labels

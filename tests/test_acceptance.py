@@ -258,7 +258,7 @@ def test_criterion_9_cli_contract(capsys, monkeypatch):
 
     def corrupted(initial, final):
         x = true_kernel(initial, final).copy()
-        x[1, 0] = -x[1, 0]
+        x[..., 1, 0] = -x[..., 1, 0]
         return x
 
     monkeypatch.setattr(kernels_mod, "xi_half", corrupted)

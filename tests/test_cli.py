@@ -18,7 +18,6 @@ import pytest
 import spinpair.cli as cli_mod
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
-import spinpair.verify as verify_mod
 from spinpair import Direction, expectation_matrix
 from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
@@ -799,7 +798,7 @@ class TestExitContract:
 
         def corrupted(initial, final):
             x = true_kernel(initial, final).copy()
-            x[0, 1] = -x[0, 1]
+            x[..., 0, 1] = -x[..., 0, 1]
             return x
 
         monkeypatch.setattr(kernels_mod, "xi_half", corrupted)
@@ -830,7 +829,6 @@ class TestExitContract:
             return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
 
         monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
-        monkeypatch.setattr(verify_mod, "_usable_cpus", lambda: 2)  # a pool even on one CPU
         code = main(["verify", "--seed", "4"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
@@ -925,14 +923,17 @@ class TestSubprocess:
             "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --grid 4 --seed 3",
             "scan --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 1.1,0.3"
             " --param c2.theta --start 0 --stop 180deg --steps 181",
+            "verify --seed 42",
         ],
-        ids=["state", "expect-grid", "scan"],
+        ids=["state", "expect-grid", "scan", "verify"],
     )
     def test_stdout_does_not_depend_on_numpy_simd_targets(self, argv):
         # With NumPy's dispatched SIMD loops and OpenBLAS's tuned kernels
         # switched off, NumPy may round a complex product or a dot product
         # differently; the records must not change.
         env = {k: v for k, v in os.environ.items() if k not in _BASELINE_ARITHMETIC}
+        # stderr holds nothing but verify's summary line
+        summary = "21/21 checks passed (seed=42)\n" if argv.startswith("verify") else ""
         outputs = []
         for extra in ({}, _baseline_arithmetic_env()):
             proc = subprocess.run(
@@ -942,7 +943,7 @@ class TestSubprocess:
                 text=True,
                 timeout=120,
             )
-            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, summary)
             outputs.append(_strip_timestamps(proc.stdout))
         assert outputs[0] == outputs[1]
 

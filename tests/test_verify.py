@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
-import os
 from collections import Counter
 
 import numpy as np
@@ -11,7 +9,11 @@ import spinpair.kernels as kernels_mod
 import spinpair.operators as operators_mod
 import spinpair.states as states_mod
 from spinpair import verify
-from spinpair.directions import Direction
+from spinpair.directions import Directions
+
+
+def _same(a, b):
+    return np.array_equal(a.theta, b.theta) and np.array_equal(a.phi, b.phi)
 
 
 class TestDraw:
@@ -22,48 +24,58 @@ class TestDraw:
         ranges += 2 * [(-2, 2)]
         seq = np.random.default_rng(11)
         want = [[seq.uniform(low, high) for low, high in ranges] for _ in range(300)]
-        rows = list(verify._draw(np.random.default_rng(11), 300, fields))
-        got = [[r[0].theta, r[0].phi, r[1], r[2].theta, r[2].phi, r[3], r[4]] for r in rows]
+        a, p, b, q, r = verify._draw(np.random.default_rng(11), 300, fields)
+        got = np.column_stack([a.theta, a.phi, p, b.theta, b.phi, q, r])
         assert np.array_equal(got, want)
-        assert all(isinstance(r[0], Direction) and isinstance(r[1], float) for r in rows)
+        assert isinstance(a, Directions) and isinstance(b, Directions)
+        assert all(x.dtype == np.float64 and x.shape == (300,) for x in (a.theta, a.phi, p, q, r))
 
     def test_random_problems_draw_the_labels_then_one_block(self):
         # one rng.integers block for all n labels, then one _draw block for
-        # everything else, so a problem's numbers do not depend on n's labels
+        # everything else, so a problem's numbers do not depend on n's labels;
+        # the problems come as one batch per label
         n, k = 40, 3
         seq = np.random.default_rng(5)
-        labels = seq.integers(0, 4, n).tolist()
+        labels = seq.integers(0, 4, n)
         fields = 3 * [verify._DIRECTION] + 4 * [(-2.0, 2.0)] + k * [verify._DIRECTION]
-        rows = list(verify._draw(seq, n, fields))
+        axis, c1, c2, p1, m1, p2, m2, *more = verify._draw(seq, n, fields)
         block = np.random.default_rng(5)
-        problems = verify._random_problems(block, n, k)
+        problems = list(verify._random_problems(block, n, k))
         assert block.random() == seq.random()  # both blocks drawn before the first problem
-        problems = list(problems)
-        assert len(problems) == n
-        for i, row, (label, spec, dirs) in zip(labels, rows, problems):
-            axis, c1, c2, p1, m1, p2, m2, *more = row
-            assert (label.s, label.M, label.axis) == (*verify._LABELS[i], axis)
-            assert (spec.c1, spec.c2) == (c1, c2)
-            assert (spec.values1.r_plus, spec.values1.r_minus) == (p1, m1)
-            assert (spec.values2.r_plus, spec.values2.r_minus) == (p2, m2)
-            assert list(dirs) == more
+        assert len(problems) == len(verify._LABELS)
+        for i, (label, spec, dirs) in enumerate(problems):
+            at = labels == i
+            assert (label.s, label.M) == verify._LABELS[i]
+            assert _same(label.axis, axis[at])
+            assert _same(spec.c1, c1[at]) and _same(spec.c2, c2[at])
+            v1, v2 = spec.values1, spec.values2
+            got = (v1.r_plus, v1.r_minus, v2.r_plus, v2.r_minus)
+            assert all(np.array_equal(g, x[at]) for g, x in zip(got, (p1, m1, p2, m2)))
+            assert dirs.theta.shape == (k, np.count_nonzero(at))
+            assert all(_same(dirs[j], more[j][at]) for j in range(k))
+        assert sum(len(label.axis.theta) for label, _, _ in problems) == n
 
     def test_no_rows(self):
         rng = np.random.default_rng(3)
-        assert list(verify._draw(rng, 0, [verify._DIRECTION])) == []
+        (d,) = verify._draw(rng, 0, [verify._DIRECTION])
+        assert d.theta.shape == d.phi.shape == (0,)
         assert rng.random() == np.random.default_rng(3).random()
 
 
-def _scaled(x):
-    return x * (1.0 + 1e-6)
+def _scaled(x, k):
+    x = x.copy()
+    x[k] = x[k] * (1.0 + 1e-6)
+    return x
 
 
-def _scaled_tensor(asm):
-    return dataclasses.replace(asm, tensor=_scaled(asm.tensor))
+def _scaled_tensor(asm, k):
+    return dataclasses.replace(asm, tensor=_scaled(asm.tensor, k))
 
 
-def _nan(x):
-    return x * math.nan
+def _nan(x, k):
+    x = x.copy()
+    x[k] = x[k] * math.nan
+    return x
 
 
 @pytest.mark.parametrize(
@@ -77,22 +89,21 @@ def _nan(x):
     ids=["xi_half-500", "r_matrix-100", "assemble_state-50", "xi_half-500-nan"],
 )
 def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt, check):
-    # Only the k-th call inside the named check is wrong; that check must
-    # fail, and no other.  The calls are counted per check, in whichever
-    # process runs it.
+    # Only sample k of the first batch the named check evaluates is wrong;
+    # that check must fail, and no other.
     true_fn = getattr(module, name)
     calls, running = Counter(), [None]
 
     def faulty(*args):
         calls[running[0]] += 1
-        if running[0] == check and calls[check] == k:
-            return corrupt(true_fn(*args))
+        if running[0] == check and calls[check] == 1:
+            return corrupt(true_fn(*args), k)
         return true_fn(*args)
 
     def watched(check_name, fn):
-        def run(rng, samples):
+        def run(rng, *args):
             running[0] = check_name
-            return fn(rng, samples)
+            return fn(rng, *args)
 
         return run
 
@@ -106,9 +117,9 @@ def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt
 def _alone(seed, row, index):
     """A _CHECKS row run by itself on stream ``index`` of ``seed``: (residual
     rows, worst); a check that returns one number reports one sample."""
-    _, check, samples, _ = row
+    _, check, _, *args = row
     stream = np.random.SeedSequence(seed).spawn(len(verify._CHECKS))[index]
-    residuals = check(np.random.default_rng(stream), samples)
+    residuals = check(np.random.default_rng(stream), *args)
     count = len(residuals) if np.ndim(residuals) else 1
     return count, float(np.max(np.abs(residuals)))
 
@@ -168,50 +179,6 @@ def test_replacing_one_check_leaves_the_others_unchanged(monkeypatch):
     assert after[:index] + after[index + 1 :] == before[:index] + before[index + 1 :]
 
 
-def _recording_pids(monkeypatch):
-    """Make the first check note the pid of the process that runs it."""
-    pids = []
-    (name, fn, *rest), *others = verify._CHECKS
-
-    def noted(rng, samples):
-        pids.append(os.getpid())
-        return fn(rng, samples)
-
-    monkeypatch.setattr(verify, "_CHECKS", ((name, noted, *rest), *others))
-    return pids
-
-
-def test_in_process_mapper_matches_the_pool(monkeypatch):
-    pids = _recording_pids(monkeypatch)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    pooled = verify.run_verification(9, {"chsh_extremum": 1e-3})
-    assert pids == []  # the worker's note stays in the worker
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    in_process = verify.run_verification(9, {"chsh_extremum": 1e-3})
-    assert pids == [os.getpid()]
-    assert in_process == pooled
-
-
-class _Boom(Exception):
-    pass
-
-
-def test_no_child_process_survives_a_run(monkeypatch):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    verify.run_verification(1)
-    assert multiprocessing.active_children() == []
-
-    def raising(rng, samples):
-        raise _Boom("check failed to run")
-
-    rows = list(verify._CHECKS)
-    rows[-3] = (rows[-3][0], raising, *rows[-3][2:])
-    monkeypatch.setattr(verify, "_CHECKS", tuple(rows))
-    with pytest.raises(_Boom, match="check failed to run"):
-        verify.run_verification(1)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("s, M, slot", [(1, 0, 1), (1, 0, 2), (0, 0, 1), (0, 0, 2)])
 def test_a_flipped_coupling_sign_fails_both_clebsch_gordan_checks(monkeypatch, s, M, slot):
     # each of these signs alone keeps every row a unit vector but makes
@@ -221,6 +188,6 @@ def test_a_flipped_coupling_sign_fails_both_clebsch_gordan_checks(monkeypatch, s
     rng = np.random.default_rng(0)
     checks = [row for row in verify._CHECKS if row[0].startswith("clebsch_gordan_")]
     assert len(checks) == 2
-    for name, check, samples, tol in checks:
-        residuals = check(rng, samples)
+    for name, check, tol in checks:
+        residuals = check(rng)
         assert np.max(np.abs(residuals)) > tol, name
