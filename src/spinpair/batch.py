@@ -60,10 +60,6 @@ class Complexes:
     def conjugate(self):
         return Complexes(self.real, -self.imag)
 
-    def array(self) -> np.ndarray:
-        """The values as one complex array."""
-        return stack([self], ())
-
 
 def rect(r, phi) -> Complexes:
     """``cmath.rect(r, phi)`` at each point of a batch: r cos(phi) + i r sin(phi)."""

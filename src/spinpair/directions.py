@@ -13,6 +13,21 @@ from .batch import Complexes, rect
 TWO_PI = 2.0 * math.pi
 
 
+def _reduce(theta, phi, fmod, where):
+    """Angles reduced to theta in [0, pi] and phi in [0, 2*pi), neither -0.0:
+    one point's with ``math.fmod`` and a select of one value, a batch's with
+    ``np.fmod`` and ``np.where``."""
+    theta = fmod(theta, TWO_PI)
+    theta = where(theta < 0.0, theta + TWO_PI, theta)
+    flip = theta > math.pi
+    theta = where(flip, TWO_PI - theta, theta)
+    phi = fmod(where(flip, phi + math.pi, phi), TWO_PI)
+    phi = where(phi < 0.0, phi + TWO_PI, phi)
+    phi = where(phi >= TWO_PI, 0.0, phi)  # fmod can land on the period itself after rounding
+    # fmod keeps the sign of a zero; + 0.0 makes -0.0 print as 0.0
+    return theta + 0.0, phi + 0.0
+
+
 @dataclass(frozen=True)
 class Direction:
     """A spatial direction given by polar angles (theta, phi) in radians.
@@ -37,20 +52,9 @@ class Direction:
         phi = float(self.phi)
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValueError("direction angles must be finite")
-        theta = math.fmod(theta, TWO_PI)
-        if theta < 0.0:
-            theta += TWO_PI
-        if theta > math.pi:
-            theta = TWO_PI - theta
-            phi += math.pi
-        phi = math.fmod(phi, TWO_PI)
-        if phi < 0.0:
-            phi += TWO_PI
-        if phi >= TWO_PI:  # fmod can land on the period itself after rounding
-            phi = 0.0
-        # fmod keeps the sign of a zero; + 0.0 makes -0.0 print as 0.0
-        object.__setattr__(self, "theta", theta + 0.0)
-        object.__setattr__(self, "phi", phi + 0.0)
+        theta, phi = _reduce(theta, phi, math.fmod, lambda c, a, b: a if c else b)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
 
 Z_AXIS = Direction(0.0, 0.0)
@@ -70,18 +74,13 @@ class Directions:
     _arithmetic = (np.cos, np.sin, rect, Complexes(0.0, 0.0))
 
     def __init__(self, theta, phi) -> None:
-        theta, phi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (theta, phi)))
+        arrays = [np.asarray(x) for x in (theta, phi)]
+        if any(a.dtype.kind == "c" for a in arrays):  # float(), as Direction calls it, refuses them
+            raise TypeError("direction angles must be real")
+        theta, phi = np.broadcast_arrays(*(a.astype(float, copy=False) for a in arrays))
         if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
             raise ValueError("direction angles must be finite")
-        theta = np.fmod(theta, TWO_PI)
-        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-        flip = theta > math.pi
-        theta = np.where(flip, TWO_PI - theta, theta)
-        phi = np.fmod(np.where(flip, phi + math.pi, phi), TWO_PI)
-        phi = np.where(phi < 0.0, phi + TWO_PI, phi)
-        phi = np.where(phi >= TWO_PI, 0.0, phi)
-        self.theta = theta + 0.0
-        self.phi = phi + 0.0
+        self.theta, self.phi = _reduce(theta, phi, np.fmod, np.where)
 
     def __getitem__(self, index) -> Directions:
         """The directions at a NumPy ``index`` into the batch axes."""

@@ -54,7 +54,9 @@ class ExpectationReport:
 
     ``residual`` is the gap between the matrix and oracle routes at the
     first evaluation point; ``basis_invariance_residual`` is the spread of
-    the matrix route over all sampled (d, f) pairs.
+    the matrix route over all sampled (d, f) pairs.  A report holds four
+    probabilities in [0, 1] that sum to 1, and finite values and residuals;
+    anything else, NaN included, raises ValueError.
     """
 
     value_matrix_path: float
@@ -67,10 +69,15 @@ class ExpectationReport:
         p = self.probabilities
         if len(p) != 4:
             raise ValueError("expected four outcome probabilities")
-        if any(v < 0.0 or v > 1.0 + _PROB_SUM_TOLERANCE for v in p):
+        # a NaN compares false, so each test asks for what must hold
+        if not all(0.0 <= v <= 1.0 + _PROB_SUM_TOLERANCE for v in p):
             raise ValueError(f"probabilities out of range: {p}")
-        if abs(sum(p) - 1.0) > _PROB_SUM_TOLERANCE:
+        if not abs(sum(p) - 1.0) <= _PROB_SUM_TOLERANCE:
             raise ValueError(f"probabilities must sum to 1, got {sum(p)!r}")
+        values = self.value_matrix_path, self.value_oracle_path
+        residuals = self.residual, self.basis_invariance_residual
+        if not all(map(math.isfinite, values + residuals)):
+            raise ValueError(f"values {values} and residuals {residuals} must be finite")
 
 
 def amplitude_psi(
@@ -176,7 +183,8 @@ def verify_basis_invariance(
 
     The value fields come from the first grid point; the invariance residual
     is the max-min spread of the matrix route over the whole grid (zero for
-    a single-point grid, NaN if the route gives NaN at any point).
+    a single-point grid).  Results the report refuses, such as a NaN from
+    either route at any point, raise InternalConsistencyError.
     """
     pairs = list(grid)
     if not pairs:
@@ -186,13 +194,16 @@ def verify_basis_invariance(
     spread = math.nan if any(map(math.isnan, values)) else max(values) - min(values)
     oracle = expectation_oracle(label, spec)
     probs = outcome_probabilities(label, spec.c1, spec.c2)
-    return ExpectationReport(
-        value_matrix_path=values[0],
-        value_oracle_path=oracle,
-        probabilities=tuple(probs.tolist()),
-        residual=abs(values[0] - oracle),
-        basis_invariance_residual=spread,
-    )
+    try:
+        return ExpectationReport(
+            value_matrix_path=values[0],
+            value_oracle_path=oracle,
+            probabilities=tuple(probs.tolist()),
+            residual=abs(values[0] - oracle),
+            basis_invariance_residual=spread,
+        )
+    except ValueError as exc:
+        raise InternalConsistencyError(f"expectation report: {exc}") from None
 
 
 def singlet_expectation(c1: Direction, c2: Direction) -> float:

@@ -42,11 +42,6 @@ class SpinHalfLabel(IntEnum):
     PLUS = 0
     MINUS = 1
 
-    @property
-    def m(self) -> float:
-        """Projection quantum number, +1/2 or -1/2."""
-        return 0.5 if self is SpinHalfLabel.PLUS else -0.5
-
 
 PLUS = SpinHalfLabel.PLUS
 MINUS = SpinHalfLabel.MINUS

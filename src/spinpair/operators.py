@@ -50,9 +50,6 @@ class OutcomeValues:
             # + 0.0 makes -0.0 print as 0.0, as Direction does for its angles
             object.__setattr__(self, name, v + 0.0)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r_plus, self.r_minus])
-
     @property
     def largest(self) -> float:
         """The larger magnitude of the two values, per point of a batch."""

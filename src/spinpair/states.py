@@ -99,8 +99,9 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
     eta1 = _readonly(stack(eta1, (2, 2)))
     eta2 = _readonly(stack(eta2, (2, 2)))
+    coefficients = [stack([c], ()) if isinstance(c, Complexes) else c for c in coefficients]
     terms = tuple(
-        StateTerm(c.array() if isinstance(c, Complexes) else c, eta1[..., m1, :], eta2[..., m2, :])
+        StateTerm(c, eta1[..., m1, :], eta2[..., m2, :])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
     return StateAssembly(label, d, f, terms, _readonly(stack(tensor, (4,))))

@@ -95,6 +95,15 @@ def test_a_batch_refuses_an_angle_a_direction_refuses():
         Directions(np.array([0.0, math.nan]), np.zeros(2))
 
 
+@pytest.mark.parametrize("theta, phi", [(np.array([1j]), 0.0), (0.0, [0.5, 1 + 0j])])
+def test_a_batch_refuses_complex_angles_as_a_direction_does(theta, phi):
+    # np.asarray(x, dtype=float) would drop an imaginary part with only a ComplexWarning
+    with pytest.raises(TypeError):
+        Direction(1j, 0.0)
+    with pytest.raises(TypeError, match="real"):
+        Directions(theta, phi)
+
+
 @pytest.mark.parametrize("first, second", [("c1", "d"), ("d", "c1"), (None, "f"), ("f", None)])
 def test_xi_half(inputs, first, second):
     # None stands for the z axis, a single direction paired with a batch

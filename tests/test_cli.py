@@ -93,6 +93,11 @@ def _csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _refuse(constant):
+    """A json.loads parse_constant that refuses NaN and Infinity, which are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 class TestParsing:
     def test_expect_flags(self):
         cfg = parse_config(
@@ -845,6 +850,36 @@ class TestExitContract:
         (record,) = _json_lines(capsys.readouterr().out)
         assert (record["error"], record["seed"]) == ("internal-consistency", 0)
 
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("fault", ["doubled", "nan"])
+    def test_a_report_the_routes_break_exits_three(
+        self, capsys, monkeypatch, fault, output_format
+    ):
+        # Doubled amplitudes put the probabilities out of range and a NaN one
+        # makes them NaN. The report refuses both, so the run writes its
+        # internal-consistency record, not a traceback or NaN, which is not JSON.
+        true_kernel = expectation_mod.xi_half
+
+        def broken(initial, final):
+            x = 2.0 * true_kernel(initial, final)
+            if fault == "nan":
+                x[..., 0, 0] = math.nan
+            return x
+
+        monkeypatch.setattr(expectation_mod, "xi_half", broken)
+        argv = "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2 --format".split() + [output_format]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        (line,) = captured.err.splitlines()
+        assert line.startswith("internal consistency violation: expectation report: ")
+        if output_format == "json":
+            (text,) = captured.out.splitlines()
+            record = json.loads(text, parse_constant=_refuse)
+        else:
+            (record,) = _csv_rows(captured.out)
+        assert (record["command"], record["error"]) == ("expect", "internal-consistency")
+
     def test_large_outcome_values_pass_the_imaginary_guard(self, capsys):
         # rounding leaves an imaginary part near 1.5e-11 here, which the
         # absolute 1e-12 bound took for an internal-consistency failure
@@ -920,12 +955,14 @@ class TestSubprocess:
         [
             # an input whose norm_sq a BLAS dot product rounds by the CPU
             "state --s 1 --M 1 --a 2.95,1.51 --d 0.17,2.6 --f 2.3,3.01",
+            "operator --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2 --r1 2,-1 --r2 0.4,-3",
+            "probabilities --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2",
             "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --grid 4 --seed 3",
             "scan --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 1.1,0.3"
             " --param c2.theta --start 0 --stop 180deg --steps 181",
             "verify --seed 42",
         ],
-        ids=["state", "expect-grid", "scan", "verify"],
+        ids=["state", "operator", "probabilities", "expect-grid", "scan", "verify"],
     )
     def test_stdout_does_not_depend_on_numpy_simd_targets(self, argv):
         # With NumPy's dispatched SIMD loops and OpenBLAS's tuned kernels

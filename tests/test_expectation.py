@@ -247,7 +247,7 @@ class TestBasisInvarianceReport:
         assert abs(sum(report.probabilities) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bad", [0, 1, 2, 3])
-    def test_a_nan_at_any_pair_makes_the_spread_nan(self, rng, monkeypatch, bad):
+    def test_a_nan_at_any_pair_is_an_internal_consistency_error(self, rng, monkeypatch, bad):
         # max and min skip a NaN unless it comes first, which hid it at pairs 1-3
         true_route, calls = expectation_mod.expectation_matrix, []
 
@@ -257,9 +257,9 @@ class TestBasisInvarianceReport:
 
         monkeypatch.setattr(expectation_mod, "expectation_matrix", nan_once)
         grid = [(draw_direction(rng), draw_direction(rng)) for _ in range(4)]
-        report = verify_basis_invariance(_random_label(rng), _random_spec(rng), grid)
+        with pytest.raises(InternalConsistencyError, match="finite"):
+            verify_basis_invariance(_random_label(rng), _random_spec(rng), grid)
         assert len(calls) == 4
-        assert math.isnan(report.basis_invariance_residual)
 
     def test_rejects_an_empty_grid(self, rng):
         with pytest.raises(ValueError):
@@ -270,6 +270,16 @@ class TestBasisInvarianceReport:
             ExpectationReport(0.0, 0.0, (0.5, 0.5, 0.5, 0.5), 0.0, 0.0)
         with pytest.raises(ValueError):
             ExpectationReport(0.0, 0.0, (-0.1, 0.5, 0.3, 0.3), 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", range(8))
+    def test_report_rejects_a_nan_or_infinite_number(self, field):
+        # the four probabilities, then both values and both residuals
+        for bad in (math.nan, math.inf):
+            numbers = [0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0]
+            numbers[field] = bad
+            *probabilities, matrix, oracle, residual, spread = numbers
+            with pytest.raises(ValueError):
+                ExpectationReport(matrix, oracle, tuple(probabilities), residual, spread)
 
 
 class TestSingletPhysics:

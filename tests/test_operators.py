@@ -106,7 +106,7 @@ class TestRMatrix:
         values = OutcomeValues(1.6, -0.9)
         r = r_matrix(d, c, values)
         eig = np.sort(np.linalg.eigvalsh(r))
-        assert np.max(np.abs(eig - np.sort(values.as_array()))) < 1e-10
+        assert np.max(np.abs(eig - np.sort(np.array([values.r_plus, values.r_minus])))) < 1e-10
 
     def test_rebasing_conjugates_by_the_direction_change(self, rng):
         for _ in range(100):

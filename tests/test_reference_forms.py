@@ -71,13 +71,13 @@ def python_reference_tensor(label, d, f):
 
 def reference_r_matrix(intermediate, measured, values):
     x = xi_half(intermediate, measured)
-    return x.conj() @ np.diag(values.as_array()) @ x.T
+    return x.conj() @ np.diag(np.array([values.r_plus, values.r_minus])) @ x.T
 
 
 def reference_clebsch_gordan(s, M, m1, m2):
     if s not in (0, 1) or M not in range(-s, s + 1):
         raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}")
-    if m1.m + m2.m != M:
+    if (0.5 - m1) + (0.5 - m2) != M:  # a label's projection is 0.5 - its index
         return 0.0
     if s == 1:
         return SQRT_HALF if M == 0 else 1.0
@@ -100,7 +100,7 @@ def test_expectation_matrix_matches_the_kron_quadratic_form(rng):
     for _ in range(DRAWS // 4):
         c1, c2, d, f = (draw_direction(rng) for _ in range(4))
         spec = MeasurementSpec(c1, c2, _values(rng), _values(rng))
-        scale = np.prod([np.max(np.abs(v.as_array())) for v in (spec.values1, spec.values2)])
+        scale = spec.values1.largest * spec.values2.largest
         for label in _labels(rng):
             psi = assemble_state(label, d, f).tensor
             r1 = reference_r_matrix(d, spec.c1, spec.values1)
