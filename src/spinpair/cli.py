@@ -31,15 +31,18 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__, verify as verify_mod
-from .directions import Direction
+from .directions import Direction, Directions
 from .expectation import (
+    ExpectationReport,
     InternalConsistencyError,
+    _matrix_route,
+    _report,
     outcome_probabilities,
     verify_basis_invariance,
 )
@@ -293,19 +296,24 @@ def _rows(command: str) -> list[tuple]:
 # argument and config handling
 
 
-def _build_parser(argv) -> _Parser:
-    """Only the subcommand ``argv[0]`` names, with its flags; if it names none,
-    every subcommand without flags, all that top-level help and errors show."""
+@lru_cache(maxsize=None)
+def _build_parser(command: str | None) -> _Parser:
+    """Only ``command``'s subcommand, with its flags; for None, every
+    subcommand without flags, all that top-level help and errors show.
+
+    Built on first use, once per process: ``parse_args`` keeps nothing from
+    one call to the next (each gets a fresh Namespace, and --tol appends to
+    a list it makes itself, its default being None).
+    """
     parser = _Parser(
         prog="spinpair",
         description="States, observables and correlations of a coupled spin-1/2 pair.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    named = [argv[0]] if argv and argv[0] in _SUBCOMMANDS else []
-    for command in named or _SUBCOMMANDS:
-        sub_parser = sub.add_parser(command)
-        for flag, help_text, _, _, *kwargs in _rows(command) if named else ():
+    for name in [command] if command else _SUBCOMMANDS:
+        sub_parser = sub.add_parser(name)
+        for flag, help_text, _, _, *kwargs in _rows(name) if command else ():
             sub_parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
     return parser
 
@@ -332,7 +340,8 @@ def parse_config(argv=None) -> RunConfig:
     each value in --help order, then the checks across flags.
     """
     argv = sys.argv[1:] if argv is None else argv
-    args = vars(_build_parser(argv).parse_args(argv))
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = vars(_build_parser(named).parse_args(argv))
     command = args["command"]
     file_cfg = _load_config_file(args["config"]) if args["config"] else {}
     unknown = [key for key in file_cfg if key not in _CONFIG_KEYS]
@@ -481,32 +490,40 @@ def _record(config: RunConfig, **results) -> dict[str, Any]:
     return {"command": config.command, **_echo(config), **results}
 
 
+def _finite(**results) -> dict[str, Any]:
+    """``results``, each a number or a list of them; a NaN or an infinity,
+    which is not JSON, raises InternalConsistencyError naming its field."""
+    for key, value in results.items():
+        if not np.isfinite(value).all():
+            raise InternalConsistencyError(f"{key} is not finite: {value!r}")
+    return results
+
+
 def _cmd_state(config: RunConfig):
     asm = assemble_state(config.label, config.inputs["d"], config.inputs["f"])
     tensor = asm.tensor.tolist()
-    record = _record(
-        config,
+    results = _finite(
         coefficients=[t.coefficient for t in asm.terms],
         tensor=tensor,
         # an exactly rounded sum of Python floats: no BLAS kernel picks its bits
         norm_sq=math.fsum(x * x for z in tensor for x in (z.real, z.imag)),
     )
-    return [record], EXIT_OK
+    return [_record(config, **results)], EXIT_OK
 
 
 def _cmd_operator(config: RunConfig):
     r1, r2 = operator_pair(config.spec, config.inputs["d"], config.inputs["f"])
-    return [_record(config, r1=r1.tolist(), r2=r2.tolist())], EXIT_OK
+    return [_record(config, **_finite(r1=r1.tolist(), r2=r2.tolist()))], EXIT_OK
 
 
 def _cmd_probabilities(config: RunConfig):
     p = outcome_probabilities(config.label, config.spec.c1, config.spec.c2)
-    return [_record(config, probabilities=p.tolist(), prob_sum=float(np.sum(p)))], EXIT_OK
+    results = _finite(probabilities=p.tolist(), prob_sum=float(np.sum(p)))
+    return [_record(config, **results)], EXIT_OK
 
 
-def _correlation(label: CompoundLabel, spec: MeasurementSpec, pairs) -> dict[str, Any]:
-    """The expect and scan results: both routes over the (d, f) pairs."""
-    report = verify_basis_invariance(label, spec, pairs)
+def _correlation(report: ExpectationReport) -> dict[str, Any]:
+    """The expect and scan results, read from the report of both routes."""
     return {
         "value_matrix_path": report.value_matrix_path,
         "value_oracle_path": report.value_oracle_path,
@@ -523,8 +540,8 @@ def _cmd_expect(config: RunConfig):
     (more_f,) = draw(rng, n, [verify_mod._DIRECTION])
     ds = [config.inputs["d"], *more_d.points()]
     fs = [config.inputs["f"], *more_f.points()]
-    results = _correlation(config.label, config.spec, [(d, f) for d in ds for f in fs])
-    return [_record(config, **results)], EXIT_OK
+    report = verify_basis_invariance(config.label, config.spec, [(d, f) for d in ds for f in fs])
+    return [_record(config, **_correlation(report))], EXIT_OK
 
 
 def _cmd_verify(config: RunConfig):
@@ -534,7 +551,8 @@ def _cmd_verify(config: RunConfig):
             config,
             check=res.name,
             samples=res.samples,
-            max_residual=res.max_residual,
+            # NaN and Infinity are not JSON; such a residual fails its check
+            max_residual=res.max_residual if math.isfinite(res.max_residual) else None,
             tolerance=res.tolerance,
             passed=res.passed,
         )
@@ -548,34 +566,46 @@ def _cmd_verify(config: RunConfig):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
+def _swept(name: str, swept, label, spec, d, f):
+    """The label, spec, d and f of a scan with direction ``name`` set to
+    ``swept``, a Direction or a Directions batch: only the object holding
+    it changes."""
+    if name == "a":
+        label = CompoundLabel(label.s, label.M, swept)
+    elif name == "c1":
+        spec = MeasurementSpec(swept, spec.c2, spec.values1, spec.values2)
+    elif name == "c2":
+        spec = MeasurementSpec(spec.c1, swept, spec.values1, spec.values2)
+    elif name == "d":
+        d = swept
+    else:
+        f = swept
+    return label, spec, d, f
+
+
 def _cmd_scan(config: RunConfig):
     inputs, param = config.inputs, config.inputs["param"]
     name, _, angle = param.partition(".")
-    echo, fixed = _echo(config), inputs[name]
-    label, spec, d, f = config.label, config.spec, inputs["d"], inputs["f"]
+    echo, fixed, steps = _echo(config), inputs[name], inputs["steps"]
+    unswept = config.label, config.spec, inputs["d"], inputs["f"]
+    sweep = np.linspace(inputs["start"], inputs["stop"], steps)
+    swept = Directions(sweep, fixed.phi) if angle == "theta" else Directions(fixed.theta, sweep)
+    # The matrix route over the whole sweep in one call, each point with the
+    # bits it has alone; a sweep that route does not read (a singlet's axis)
+    # gives one number.
+    matrix_values = np.broadcast_to(_matrix_route(*_swept(name, swept, *unswept)), (steps,))
     records = []
-    # Per point only the swept direction and the one object holding it change.
-    for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
-        swept = Direction(value, fixed.phi) if angle == "theta" else Direction(fixed.theta, value)
-        if name == "a":
-            label = CompoundLabel(label.s, label.M, swept)
-        elif name == "c1":
-            spec = MeasurementSpec(swept, spec.c2, spec.values1, spec.values2)
-        elif name == "c2":
-            spec = MeasurementSpec(spec.c1, swept, spec.values1, spec.values2)
-        elif name == "d":
-            d = swept
-        else:
-            f = swept
+    for value, point, matrix_value in zip(sweep.tolist(), swept.points(), matrix_values.tolist()):
+        label, spec, _, _ = _swept(name, point, *unswept)
         records.append(
             {
                 "command": config.command,
                 "param": param,
                 "value": value,
                 **echo,
-                f"{name}_theta": swept.theta,
-                f"{name}_phi": swept.phi,
-                **_correlation(label, spec, [(d, f)]),
+                f"{name}_theta": point.theta,
+                f"{name}_phi": point.phi,
+                **_correlation(_report(label, spec, [matrix_value])),
             }
         )
     return records, EXIT_OK

@@ -189,7 +189,13 @@ def verify_basis_invariance(
     pairs = list(grid)
     if not pairs:
         raise ValueError("grid of (d, f) pairs must be nonempty")
-    values = [expectation_matrix(label, spec, d, f) for d, f in pairs]
+    return _report(label, spec, [expectation_matrix(label, spec, d, f) for d, f in pairs])
+
+
+def _report(label: CompoundLabel, spec: MeasurementSpec, values: list[float]) -> ExpectationReport:
+    """``verify_basis_invariance``'s report, given the matrix route's values
+    over the grid (the first pair's first); the oracle route and the
+    probabilities are evaluated here."""
     # max and min skip a NaN unless it comes first, so look for one
     spread = math.nan if any(map(math.isnan, values)) else max(values) - min(values)
     oracle = expectation_oracle(label, spec)

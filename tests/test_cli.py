@@ -18,6 +18,8 @@ import pytest
 import spinpair.cli as cli_mod
 import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
+import spinpair.operators as operators_mod
+import spinpair.states as states_mod
 from spinpair import Direction, expectation_matrix
 from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
@@ -497,6 +499,78 @@ class TestParsing:
         assert main(argv.split()) == EXIT_OK
         assert (built["CompoundLabel"], built["MeasurementSpec"]) == (labels, specs)
 
+    def test_each_subcommand_parser_is_built_once_per_process(self, capsys):
+        cli_mod._build_parser.cache_clear()
+        for argv in ("verify", "verify --seed 3", "bogus", "--version", "state --s 0 --M 0"):
+            try:
+                main(argv.split())
+            except SystemExit:  # --version
+                pass
+        capsys.readouterr()
+        # verify, state, and one for every argv that names no subcommand
+        assert cli_mod._build_parser.cache_info().currsize == 3
+
+    def test_a_reused_parser_keeps_no_tol_from_the_run_before(self, capsys):
+        cli_mod._build_parser.cache_clear()
+        argv = ["verify", "--tol", "chsh_extremum=10", "--tol", "kernel_unitarity=1e-9"]
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        relaxed = {r["check"]: r["tolerance"] for r in _json_lines(out)}
+        assert (relaxed["chsh_extremum"], relaxed["kernel_unitarity"]) == (10.0, 1e-9)
+        code, out = _run(capsys, ["verify"])
+        assert code == EXIT_OK
+        assert {r["check"]: r["tolerance"] for r in _json_lines(out)} == DEFAULT_TOLERANCES
+        assert parse_config(["verify"]).inputs == {}
+
+    def test_a_usage_error_leaves_the_parser_ready_for_a_valid_run(self, capsys):
+        cli_mod._build_parser.cache_clear()
+        argv = "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2 --r1 2,-1".split()
+        code, want = _run(capsys, argv)
+        assert code == EXIT_OK
+        for error in (["--grid", "x"], ["--bogus"], ["--s"]):
+            assert main(argv + error) == EXIT_USAGE
+            assert capsys.readouterr().err.count("\n") == 1
+            code, out = _run(capsys, argv)
+            assert code == EXIT_OK
+            assert _strip_timestamps(out) == _strip_timestamps(want)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pages pinned on 3.11")
+    def test_help_pages_after_other_runs_are_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli_mod._build_parser.cache_clear()
+        for command in _COMMANDS:
+            main(_argv_without(command, None))
+        main(["verify", "--tol", "chsh_extremum=10"])
+        main(["bogus"])
+        capsys.readouterr()
+        pages = [(["--help"], "spinpair")] + [([name, "--help"], name) for name in _COMMANDS]
+        for argv, page in pages:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 0 and captured.err == ""
+            assert captured.out == (_HELP_PAGES / f"{page}.txt").read_text(encoding="utf-8")
+
+    def test_subcommands_in_alternating_order_print_what_they_print_alone(self, capsys):
+        runs = [
+            "state --s 1 --M -1 --a 0.4,1 --d 0.7,2.5 --format csv",
+            "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2 --grid 3 --seed 5",
+            f"{_SCAN_C2} --start 0 --stop 3 --steps 4 --r1 2,-1",
+            "probabilities --s 0 --M 0 --c1 0.3,0.2 --c2 1.2,2",
+            "operator --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --format csv",
+            "verify --seed 2 --tol basis_invariance=1e-9",
+        ]
+        alone = {}
+        for argv in runs:
+            cli_mod._build_parser.cache_clear()
+            alone[argv] = _run(capsys, argv.split())
+        cli_mod._build_parser.cache_clear()
+        for argv in runs + runs[::-1] + runs[::2] + runs[1::2]:
+            code, out = _run(capsys, argv.split())
+            want_code, want_out = alone[argv]
+            assert code == want_code == EXIT_OK
+            assert _strip_timestamps(out) == _strip_timestamps(want_out), argv
+
 
 class TestCommands:
     def test_state_standard_limit(self, capsys):
@@ -879,6 +953,115 @@ class TestExitContract:
         else:
             (record,) = _csv_rows(captured.out)
         assert (record["command"], record["error"]) == ("expect", "internal-consistency")
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize("fault", ["imaginary", "nan"])
+    def test_a_route_failing_mid_sweep_ends_the_scan_with_exit_three(
+        self, capsys, monkeypatch, fault, output_format
+    ):
+        # The sweep takes c1.theta from 0 to 2; past 1 the matrix route's
+        # blocks gain an imaginary residue, or the oracle route's amplitudes
+        # a NaN, which the report refuses. Either way the run prints its
+        # internal-consistency record alone, with no NaN and no scan record.
+        true_pair, true_kernel = expectation_mod.operator_pair, expectation_mod.xi_half
+
+        def broken_pair(spec, d, f):
+            r1, r2 = true_pair(spec, d, f)
+            past = np.asarray(spec.c1.theta) > 1.0
+            return r1 * np.where(past, 1 + 1e-3j, 1)[..., None, None], r2
+
+        def broken_kernel(initial, final):
+            x = true_kernel(initial, final)
+            x[..., 0, 0] = np.where(np.asarray(final.theta) > 1.0, math.nan, x[..., 0, 0])
+            return x
+
+        if fault == "imaginary":
+            monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+            message = "expectation value has imaginary part "
+        else:
+            monkeypatch.setattr(expectation_mod, "xi_half", broken_kernel)
+            message = "expectation report: "
+        # outcome values all positive: the value, and so its residue, is never 0
+        argv = (
+            "scan --s 1 --M 0 --c1 0,0.2 --c2 0.5,2 --r1 2,1 --r2 2,1 "
+            "--param c1.theta --start 0 --stop 2 --steps 9 --format"
+        ).split() + [output_format]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"internal consistency violation: {message}")
+        if output_format == "json":
+            (text,) = captured.out.splitlines()
+            record = json.loads(text, parse_constant=_refuse)
+        else:
+            (record,) = _csv_rows(captured.out)
+        assert (record["command"], record["error"]) == ("scan", "internal-consistency")
+        assert record["detail"] == line.removeprefix("internal consistency violation: ")
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv, module, name, field",
+        [
+            ("state --s 1 --M 0 --a 0.4,1 --d 0.7,2.5", states_mod, "_xi_entries", "tensor"),
+            ("operator --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5", operators_mod, "_xi_entries", "r1"),
+            ("probabilities --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2", expectation_mod, "xi_half",
+             "probabilities"),
+        ],
+        ids=["state", "operator", "probabilities"],
+    )
+    def test_a_non_finite_result_exits_three(
+        self, capsys, monkeypatch, argv, module, name, field, output_format
+    ):
+        # These records pass through no report; a NaN in them is refused
+        # before anything is printed, as NaN is not JSON.
+        true_kernel = getattr(module, name)
+
+        def nan_first_entry(initial, final):
+            x = true_kernel(initial, final)
+            if isinstance(x, list):
+                return [math.nan, *x[1:]]
+            x[..., 0, 0] = math.nan
+            return x
+
+        monkeypatch.setattr(module, name, nan_first_entry)
+        code = main(argv.split() + ["--format", output_format])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"internal consistency violation: {field} is not finite: ")
+        if output_format == "json":
+            (text,) = captured.out.splitlines()
+            record = json.loads(text, parse_constant=_refuse)
+        else:
+            (record,) = _csv_rows(captured.out)
+        command = argv.split()[0]
+        assert (record["command"], record["error"]) == (command, "internal-consistency")
+
+    @pytest.mark.parametrize("output_format", ["json", "csv"])
+    def test_a_nan_residual_fails_its_check_and_prints_as_null(
+        self, capsys, monkeypatch, output_format
+    ):
+        true_kernel = kernels_mod.xi_half
+
+        def nan_first_entry(initial, final):
+            x = true_kernel(initial, final)
+            x[..., 0, 0] = math.nan
+            return x
+
+        monkeypatch.setattr(kernels_mod, "xi_half", nan_first_entry)
+        code, out = _run(capsys, ["verify", "--seed", "42", "--format", output_format])
+        assert code == EXIT_VERIFY
+        if output_format == "json":
+            records = [json.loads(line, parse_constant=_refuse) for line in out.splitlines()]
+            null = None
+        else:
+            records = _csv_rows(out)
+            null = ""
+        assert len(records) == len(DEFAULT_TOLERANCES)
+        failed = {r["check"] for r in records if r["passed"] in (False, "false")}
+        non_finite = {r["check"] for r in records if r["max_residual"] == null}
+        assert non_finite and non_finite <= failed
 
     def test_large_outcome_values_pass_the_imaginary_guard(self, capsys):
         # rounding leaves an imaginary part near 1.5e-11 here, which the
