@@ -1,7 +1,7 @@
 """Batches: many points through one call of a formula body.
 
 The formula bodies of the package (``kernels._xi_entries``, ``states._tensor``,
-``operators.r_matrix``, the two expectation routes, ...) run unchanged on one
+``operators._r_entries``, the two expectation routes, ...) run unchanged on one
 point or on a batch.  On one point their complex values are Python complex
 numbers.  On a batch they are ``Complexes``: a float64 array of real parts and
 one of imaginary parts, whose arithmetic repeats CPython's complex arithmetic

@@ -8,10 +8,11 @@ route never touches a matrix: it composes the joint amplitude
 
 squares it into probabilities and averages the outcome value products.  The
 matrix route sandwiches the two observable blocks, one acting on each
-subsystem index, between assembled state tensors.  They agree identically,
-and the matrix route is additionally independent of the intermediate
-directions (d, f) it is evaluated in; ``verify_basis_invariance`` measures
-both facts.
+subsystem index, between assembled state tensors; it reads the entries of
+the blocks and of the tensor, so one point builds no array.  They agree
+identically, and the matrix route is additionally independent of the
+intermediate directions (d, f) it is evaluated in;
+``verify_basis_invariance`` measures both facts.
 
 ``amplitude_psi``, ``outcome_probabilities`` and the bodies of the two
 routes, ``_oracle_route`` and ``_matrix_route``, run unchanged on one point
@@ -30,11 +31,7 @@ import numpy as np
 from .batch import stack, unstack
 from .directions import Direction, Z_AXIS
 from .kernels import B_INDEX_ORDER, MINUS, PLUS, CompoundLabel, SpinHalfLabel, chi, xi_half
-from .operators import (
-    MeasurementSpec,
-    SPIN_PROJECTION_VALUES,
-    operator_pair,
-)
+from .operators import MeasurementSpec, SPIN_PROJECTION_VALUES, _operator_entries
 from .states import _tensor
 
 # Largest imaginary part tolerated when a mathematically real quadratic form
@@ -148,11 +145,10 @@ def _matrix_route(label: CompoundLabel, spec: MeasurementSpec, d, f):
     part is checked at every point."""
     # The tensor as a 2x2 matrix Psi[i][j] (first subsystem index major), on
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
-    # vdot(Psi, r1 @ Psi @ r2.T), on the values _tensor gives.
+    # vdot(Psi, r1 @ Psi @ r2.T), on the entries _tensor and the blocks of
+    # operator_pair are built from.
     p00, p01, p10, p11 = _tensor(label, d, f)[0]
-    r1, r2 = operator_pair(spec, d, f)
-    (a00, a01), (a10, a11) = unstack(r1, 2)
-    (b00, b01), (b10, b11) = unstack(r2, 2)
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = _operator_entries(spec, d, f)
     m00, m01 = a00 * p00 + a01 * p10, a00 * p01 + a01 * p11  # r1 @ Psi
     m10, m11 = a10 * p00 + a11 * p10, a10 * p01 + a11 * p11
     value = (

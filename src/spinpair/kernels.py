@@ -12,9 +12,11 @@ All functions are pure; return values are plain numbers or fresh numpy
 arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
 ``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
 the public kernels are arrays over those lists, and the matrix route of the
-package reads the lists directly.  Every kernel runs unchanged on one point
-or on a batch (a ``Directions``, or a label whose axis is one): the entries
-are then Complexes, the arrays have the batch axes first (see ``batch``).
+package (``states._tensor`` and ``operators._r_entries``) reads the lists
+directly, so one point of it builds no array.  Every kernel runs unchanged
+on one point or on a batch (a ``Directions``, or a label whose axis is one):
+the entries are then Complexes, the arrays have the batch axes first (see
+``batch``).
 """
 
 from __future__ import annotations

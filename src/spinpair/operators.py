@@ -8,8 +8,12 @@ is represented, in the projection basis of an intermediate direction, by the
 
 with X = xi_half(intermediate, c).  In matrix form that is
 conj(X) @ diag(r_plus, r_minus) @ X.T; the eigenvalues are exactly the
-outcome values.  ``r_matrix`` runs unchanged on one point or on a batch
-(see ``batch``), whose outcome values may be float64 arrays.
+outcome values.  The formula lives in the private ``_r_entries``, which
+returns the four entries as a list, and ``_operator_entries`` gives the
+entries of both blocks of ``operator_pair``; ``r_matrix`` and
+``operator_pair`` are arrays over those lists, and the matrix route of
+``expectation`` reads the lists directly.  Each runs unchanged on one point
+or on a batch (see ``batch``), whose outcome values may be float64 arrays.
 """
 
 from __future__ import annotations
@@ -70,6 +74,23 @@ class MeasurementSpec:
     values2: OutcomeValues
 
 
+def _r_entries(intermediate, measured, values) -> list:
+    """The four entries of ``r_matrix(intermediate, measured, values)``, row
+    major: the formula itself, for callers that would only unpack an array."""
+    # conj(X) @ diag(r) @ X.T on Python complex scalars, which beat NumPy's
+    # per-call overhead at this size, or on a batch's Complexes.
+    x00, x01, x10, x11 = _xi_entries(intermediate, measured)
+    rp, rm = values.r_plus, values.r_minus
+    y00, y01 = x00.conjugate() * rp, x01.conjugate() * rm
+    y10, y11 = x10.conjugate() * rp, x11.conjugate() * rm
+    return [
+        y00 * x00 + y01 * x01,
+        y00 * x10 + y01 * x11,
+        y10 * x00 + y11 * x01,
+        y10 * x10 + y11 * x11,
+    ]
+
+
 def r_matrix(
     intermediate: Direction, measured: Direction, values: OutcomeValues
 ) -> np.ndarray:
@@ -80,22 +101,17 @@ def r_matrix(
     direction-change matrix, so expectation values built from it cannot
     depend on that choice.
     """
-    # conj(X) @ diag(r) @ X.T on Python complex scalars, which beat NumPy's
-    # per-call overhead at this size, or on a batch's Complexes.
-    x00, x01, x10, x11 = _xi_entries(intermediate, measured)
-    rp, rm = values.r_plus, values.r_minus
-    y00, y01 = x00.conjugate() * rp, x01.conjugate() * rm
-    y10, y11 = x10.conjugate() * rp, x11.conjugate() * rm
-    r00, r01 = y00 * x00 + y01 * x01, y00 * x10 + y01 * x11
-    r10, r11 = y10 * x00 + y11 * x01, y10 * x10 + y11 * x11
-    return stack([r00, r01, r10, r11], (2, 2))
+    return stack(_r_entries(intermediate, measured, values), (2, 2))
+
+
+def _operator_entries(spec: MeasurementSpec, d, f) -> tuple[list, list]:
+    """The entries of both ``operator_pair`` blocks, each row major."""
+    return _r_entries(d, spec.c1, spec.values1), _r_entries(f, spec.c2, spec.values2)
 
 
 def operator_pair(
     spec: MeasurementSpec, d: Direction, f: Direction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocks for both subsystems, the first in the d basis, the second in f."""
-    return (
-        r_matrix(d, spec.c1, spec.values1),
-        r_matrix(f, spec.c2, spec.values2),
-    )
+    r1, r2 = _operator_entries(spec, d, f)
+    return stack(r1, (2, 2)), stack(r2, (2, 2))

@@ -6,7 +6,8 @@ import math
 
 from hypothesis import strategies as st
 
-from spinpair import CompoundLabel, Direction
+from spinpair import CompoundLabel, Direction, expectation
+from spinpair.batch import unstack
 from spinpair.verify import _DIRECTION, _draw, _four_labels
 
 ANGLE_SPAN = 8.0 * math.pi
@@ -29,3 +30,14 @@ def draw_direction(rng) -> Direction:
 
 
 four_labels = _four_labels
+
+
+def inject_blocks(monkeypatch, pair) -> None:
+    """Make the matrix route read the blocks ``pair(spec, d, f)`` returns, two
+    arrays as ``operator_pair`` returns them, through its seam
+    ``expectation._operator_entries``: each block as its entries, row major."""
+
+    def entries(spec, d, f):
+        return tuple(unstack(r.reshape(r.shape[:-2] + (4,)), 1) for r in pair(spec, d, f))
+
+    monkeypatch.setattr(expectation, "_operator_entries", entries)

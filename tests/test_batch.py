@@ -15,6 +15,7 @@ from spinpair.batch import stack
 from spinpair.directions import Direction, Directions, Z_AXIS
 from spinpair.kernels import B_INDEX_ORDER, CompoundLabel
 from spinpair.operators import MeasurementSpec, OutcomeValues
+from support import inject_blocks
 
 LABELS = [(1, 1), (1, 0), (1, -1), (0, 0)]
 # Raw angles at and next to the places where the reduction or a formula
@@ -210,6 +211,6 @@ def test_a_batch_with_an_imaginary_residue_at_one_point_raises(monkeypatch, inpu
         r1[7, 0, 0] += 1e-9j
         return r1, r2
 
-    monkeypatch.setattr(expectation, "operator_pair", one_point_off)
+    inject_blocks(monkeypatch, one_point_off)
     with pytest.raises(expectation.InternalConsistencyError, match="imaginary part"):
         expectation._matrix_route(_label(inputs, 1, 1), _spec(inputs), inputs["d"], inputs["f"])

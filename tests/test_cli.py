@@ -21,7 +21,7 @@ import spinpair.expectation as expectation_mod
 import spinpair.operators as operators_mod
 import spinpair.states as states_mod
 from spinpair import Direction, expectation_matrix
-from spinpair.verify import DEFAULT_TOLERANCES
+from spinpair.verify import DEFAULT_TOLERANCES, _DIRECTION, _draw
 from spinpair.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -32,6 +32,7 @@ from spinpair.cli import (
     main,
     parse_config,
 )
+from support import inject_blocks
 
 _TS = re.compile(r'("timestamp":")[^"]*(")|(?<=,)\d{4}-\d{2}-\d{2}T[^,\n]*')
 
@@ -612,6 +613,29 @@ class TestCommands:
         _, single = _run(capsys, argv[:-1] + ["1"])
         assert _json_lines(single)[0]["seed"] is None
 
+    def test_grid_pairs_carry_the_bits_of_single_pairs(self, capsys):
+        # expect --grid 4 evaluates 16 (d, f) pairs in one run; redrawn as
+        # _cmd_expect draws them and run one at a time with --d and --f, the
+        # pairs give the grid record's spread and first value, bit for bit
+        base = "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2".split()
+        code, out = _run(capsys, base + "--grid 4 --seed 3".split())
+        assert code == EXIT_OK
+        (record,) = _json_lines(out)
+        rng = np.random.default_rng(3)
+        (more_d,) = _draw(rng, 3, [_DIRECTION])
+        (more_f,) = _draw(rng, 3, [_DIRECTION])
+        inputs = parse_config(base).inputs
+        values = []
+        for d in [inputs["d"], *more_d.points()]:
+            for f in [inputs["f"], *more_f.points()]:
+                at = ["--d", f"{d.theta!r},{d.phi!r}", "--f", f"{f.theta!r},{f.phi!r}"]
+                code, out = _run(capsys, base + at)
+                assert code == EXIT_OK
+                values.append(_json_lines(out)[0]["value_matrix_path"])
+        assert len(values) == 16
+        assert record["basis_invariance_residual"] == max(values) - min(values)
+        assert record["value_matrix_path"] == values[0]
+
     def test_probabilities_roundtrip_csv(self, capsys):
         code, out = _run(
             capsys,
@@ -896,7 +920,7 @@ class TestExitContract:
         def broken_pair(spec, d, f):
             return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
 
-        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        inject_blocks(monkeypatch, broken_pair)
         code = main("expect --s 0 --M 0 --c1 0.4,0 --c2 1.3,0.8".split())
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
@@ -907,7 +931,7 @@ class TestExitContract:
         def broken_pair(spec, d, f):
             return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
 
-        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        inject_blocks(monkeypatch, broken_pair)
         code = main(["verify", "--seed", "4"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
@@ -918,7 +942,7 @@ class TestExitContract:
         def broken_pair(spec, d, f):
             return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
 
-        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        inject_blocks(monkeypatch, broken_pair)
         code = main("expect --s 0 --M 0 --c1 0.4,0 --c2 1.3,0.8 --grid 2".split())
         assert code == EXIT_INTERNAL
         (record,) = _json_lines(capsys.readouterr().out)
@@ -963,7 +987,7 @@ class TestExitContract:
         # blocks gain an imaginary residue, or the oracle route's amplitudes
         # a NaN, which the report refuses. Either way the run prints its
         # internal-consistency record alone, with no NaN and no scan record.
-        true_pair, true_kernel = expectation_mod.operator_pair, expectation_mod.xi_half
+        true_pair, true_kernel = operators_mod.operator_pair, expectation_mod.xi_half
 
         def broken_pair(spec, d, f):
             r1, r2 = true_pair(spec, d, f)
@@ -976,7 +1000,7 @@ class TestExitContract:
             return x
 
         if fault == "imaginary":
-            monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+            inject_blocks(monkeypatch, broken_pair)
             message = "expectation value has imaginary part "
         else:
             monkeypatch.setattr(expectation_mod, "xi_half", broken_kernel)

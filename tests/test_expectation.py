@@ -6,6 +6,8 @@ from hypothesis import given, settings
 
 import spinpair.expectation as expectation_mod
 import spinpair.kernels as kernels_mod
+import spinpair.operators as operators_mod
+import spinpair.states as states_mod
 from spinpair import (
     B_INDEX_ORDER,
     CompoundLabel,
@@ -30,7 +32,7 @@ from spinpair import (
     verify_basis_invariance,
     xi_half,
 )
-from support import compound_labels, directions, draw_direction, four_labels
+from support import compound_labels, directions, draw_direction, four_labels, inject_blocks
 
 SQRT_HALF = math.sqrt(0.5)
 ENGINE_TOL = 1e-10
@@ -164,13 +166,29 @@ class TestExpectationRoutes:
                 want = _sandwich(assemble_state(label, d, f).tensor, *pair)
                 assert expectation_matrix(label, spec, d, f) == want
 
+    def test_a_point_of_the_matrix_route_builds_no_array(self, rng, monkeypatch):
+        # the route reads entries end to end: stubs in place of stack and
+        # unstack, which build and unpack arrays, leave every value as it was
+        points = [(_random_spec(rng), draw_direction(rng), draw_direction(rng)) for _ in range(5)]
+        labels = four_labels(draw_direction(rng))
+        want = [expectation_matrix(label, *point) for point in points for label in labels]
+
+        def refuse(*args):
+            raise AssertionError("the matrix route built or unpacked an array")
+
+        for mod in (operators_mod, states_mod, expectation_mod):
+            monkeypatch.setattr(mod, "stack", refuse)
+        monkeypatch.setattr(expectation_mod, "unstack", refuse)
+        got = [expectation_matrix(label, *point) for point in points for label in labels]
+        assert got == want
+
     def test_imaginary_residue_guard(self, rng, monkeypatch):
         # force a non-Hermitian block through the quadratic form; a diagonal
         # imaginary entry keeps the residue nonzero for every state
         def broken_pair(spec, d, f):
             return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
 
-        monkeypatch.setattr(expectation_mod, "operator_pair", broken_pair)
+        inject_blocks(monkeypatch, broken_pair)
         label = CompoundLabel(1, 0, Z_AXIS)
         with pytest.raises(InternalConsistencyError):
             expectation_mod.expectation_matrix(label, _random_spec(rng))
@@ -191,7 +209,7 @@ class TestExpectationRoutes:
         def residue_pair(spec, d, f):
             return (1.0 + residue * 1j) * np.eye(2), np.eye(2)
 
-        monkeypatch.setattr(expectation_mod, "operator_pair", residue_pair)
+        inject_blocks(monkeypatch, residue_pair)
         spec = MeasurementSpec(
             Z_AXIS, Z_AXIS, OutcomeValues(*values1), OutcomeValues(*values2)
         )
