@@ -83,8 +83,11 @@ class Directions:
         self.theta, self.phi = _reduce(theta, phi, np.fmod, np.where)
 
     def __getitem__(self, index) -> Directions:
-        """The directions at a NumPy ``index`` into the batch axes."""
-        return Directions(self.theta[index], self.phi[index])
+        """The directions at a NumPy ``index`` into the batch axes, whose
+        angles are reduced already and so are taken as they are."""
+        batch = object.__new__(Directions)
+        batch.theta, batch.phi = self.theta[index], self.phi[index]
+        return batch
 
     def points(self) -> list[Direction]:
         """The batch as Direction objects, in row-major order."""

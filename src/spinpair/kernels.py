@@ -13,10 +13,11 @@ arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
 ``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
 the public kernels are arrays over those lists, and the matrix route of the
 package (``states._tensor`` and ``operators._r_entries``) reads the lists
-directly, so one point of it builds no array.  Every kernel runs unchanged
-on one point or on a batch (a ``Directions``, or a label whose axis is one):
-the entries are then Complexes, the arrays have the batch axes first (see
-``batch``).
+directly, so one point of it builds no array.  A ``CompoundLabel`` keeps
+its ``_chi_row`` once ``states._tensor`` reads it, so each (d, f) pair of
+the same label reuses it.  Every kernel runs unchanged on one point or on a
+batch (a ``Directions``, or a label whose axis is one): the entries are then
+Complexes, the arrays have the batch axes first (see ``batch``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ B_INDEX_ORDER: tuple[tuple[SpinHalfLabel, SpinHalfLabel], ...] = (
 
 @dataclass(frozen=True)
 class CompoundLabel:
-    """Total-spin state label (s, M) referred to the quantization axis."""
+    """Total-spin state label (s, M) referred to the quantization axis.
+
+    It keeps its ``_chi_row`` from the first read on, which the matrix route
+    makes and the oracle route never does.
+    """
 
     s: int
     M: int
@@ -76,6 +81,18 @@ class CompoundLabel:
             raise ValueError(f"total spin s must be 0 or 1, got {self.s!r}")
         if self.M not in range(-self.s, self.s + 1):
             raise ValueError(f"M must satisfy |M| <= s, got M={self.M!r} for s={self.s}")
+
+    @property
+    def _coupling_row(self) -> tuple:
+        """``_chi_row(self)``, evaluated on first use and kept with the label."""
+        try:
+            return self._row
+        except AttributeError:
+            # object.__setattr__, as Direction sets its angles; writing to
+            # __dict__ (functools.cached_property) would make every later
+            # attribute read of this label about twice as slow
+            object.__setattr__(self, "_row", _chi_row(self))
+            return self._row
 
 
 def _xi_entries(initial, final) -> list:
@@ -210,15 +227,15 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
     )
 
 
-def _chi_row(label: CompoundLabel) -> list[complex]:
+def _chi_row(label: CompoundLabel) -> tuple:
     """``chi(label, m1, m2)`` over B_INDEX_ORDER, from the table's rows and
     one evaluation of the spin-1 amplitudes."""
     if label.s == 0:
-        return [complex(value) for value in _CG_ROWS[0, 0]]
+        return tuple(complex(value) for value in _CG_ROWS[0, 0])
     zp, z0, zm = _zeta_entries(label.M, label.axis)
     # chi's s = 1 sum on the same table values, so each entry is == to
     # chi(label, m1, m2).
-    return [
+    return tuple(
         0j + zp * cg_p + z0 * cg_0 + zm * cg_m
         for cg_p, cg_0, cg_m in zip(_CG_ROWS[1, 1], _CG_ROWS[1, 0], _CG_ROWS[1, -1])
-    ]
+    )

@@ -7,12 +7,12 @@ four Kronecker products, one per pair of projection labels:
 
 where eta1 is taken along the first intermediate direction d and eta2 along
 the second one f.  Components follow B_INDEX_ORDER with the first subsystem
-major.  ``_tensor`` computes that sum on Python complex numbers, or on the
-Complexes of a batch, which round alike on every host (NumPy's SIMD loops
-may fuse a multiply and an add, so the last bit of a NumPy product can
-depend on the CPU).  ``assemble_state`` packages the sum with its terms as
-arrays, and the matrix route of ``expectation`` reads ``_tensor``'s lists
-alone.
+major.  ``_tensor`` computes that sum as eta1^T C eta2, C the 2x2 matrix of
+the chi values, on Python complex numbers, or on the Complexes of a batch,
+which round alike on every host (NumPy's SIMD loops may fuse a multiply and
+an add, so the last bit of a NumPy product can depend on the CPU).
+``assemble_state`` packages the sum with its terms as arrays, and the
+matrix route of ``expectation`` reads ``_tensor``'s lists alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .batch import Complexes, stack
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, _chi_row, _xi_entries
+from .kernels import B_INDEX_ORDER, CompoundLabel, _xi_entries
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -56,32 +56,38 @@ class StateAssembly:
     tensor: np.ndarray
 
 
-def _tensor(label: CompoundLabel, d, f) -> tuple[list, list, list, list]:
+def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, list, list]:
     """The tensor of the state (s, M) in the (d, f) basis, with its parts.
 
-    Returns (tensor, coefficients, eta1, eta2) as lists of Python complex
-    numbers, or of a batch's values: the coefficients are the ``chi`` values
-    over B_INDEX_ORDER, and eta1 (eta2) holds the entries of ``xi_half(Z_AXIS, d)``
-    (``xi_half(Z_AXIS, f)``) row major, row m being the eta vector of
-    projection m.  Component 2 i + j of the tensor is
+    Returns (tensor, coefficients, eta1, eta2), Python complex numbers or a
+    batch's values: the coefficients are the ``chi`` values over
+    B_INDEX_ORDER (the label's row, kept with the label), and eta1 (eta2)
+    holds the entries of ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``) row
+    major, row m being the eta vector of projection m.  With the
+    coefficients as the 2x2 matrix C (row m1, column m2), the tensor is
+    eta1^T C eta2: first u_m1 = sum over m2 of C[m1][m2] * eta2[m2], then
+    component 2 i + j is
 
-        sum over k of c_k * (eta1[m1_k][i] * eta2[m2_k][j])
+        eta1[PLUS][i] * u_PLUS[j] + eta1[MINUS][i] * u_MINUS[j]
 
-    with (m1_k, m2_k) the k-th label of B_INDEX_ORDER, the terms added onto
-    0j in that order.
+    added onto 0j, so that no part is a negative zero.  That is the sum over
+    (m1, m2) of chi * eta1[m1][i] * eta2[m2][j] in 28 complex operations
+    rather than 48.
     """
-    c0, c1, c2, c3 = coefficients = _chi_row(label)
+    c0, c1, c2, c3 = coefficients = label._coupling_row
     eta1 = _xi_entries(Z_AXIS, d)
     eta2 = _xi_entries(Z_AXIS, f)
     # a_i, b_i: component i of the plus and the minus row of eta1; p_j, q_j
-    # likewise for eta2, so each component's terms run (++, +-, -+, --).
+    # likewise for eta2; u_j, v_j: component j of u_PLUS and u_MINUS.
     a0, a1, b0, b1 = eta1
     p0, p1, q0, q1 = eta2
+    u0, u1 = c0 * p0 + c1 * q0, c0 * p1 + c1 * q1
+    v0, v1 = c2 * p0 + c3 * q0, c2 * p1 + c3 * q1
     tensor = [
-        0j + c0 * (a0 * p0) + c1 * (a0 * q0) + c2 * (b0 * p0) + c3 * (b0 * q0),
-        0j + c0 * (a0 * p1) + c1 * (a0 * q1) + c2 * (b0 * p1) + c3 * (b0 * q1),
-        0j + c0 * (a1 * p0) + c1 * (a1 * q0) + c2 * (b1 * p0) + c3 * (b1 * q0),
-        0j + c0 * (a1 * p1) + c1 * (a1 * q1) + c2 * (b1 * p1) + c3 * (b1 * q1),
+        0j + a0 * u0 + b0 * v0,
+        0j + a0 * u1 + b0 * v1,
+        0j + a1 * u0 + b1 * v0,
+        0j + a1 * u1 + b1 * v1,
     ]
     return tensor, coefficients, eta1, eta2
 

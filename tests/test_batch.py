@@ -91,6 +91,22 @@ def test_a_batch_reduces_its_angles_as_each_direction_does():
     assert batch.points() == alone
 
 
+@pytest.mark.parametrize(
+    "index",
+    [np.arange(N) % 3 == 0, slice(5, 40, 3), 7, None],
+    ids=["mask", "slice", "integer", "new-axis"],
+)
+def test_an_indexed_batch_has_the_angles_of_a_batch_built_from_them(index):
+    # indexing takes the reduced angles as they are, reducing nothing again
+    rng = np.random.default_rng(11)
+    theta, phi = _angles(rng), _angles(rng)
+    got = Directions(theta, phi)[index]
+    want = Directions(theta[index], phi[index])
+    for part in ("theta", "phi"):
+        assert np.shape(getattr(got, part)) == np.shape(getattr(want, part))
+        assert _bits(getattr(got, part)) == _bits(getattr(want, part))
+
+
 def test_a_batch_refuses_an_angle_a_direction_refuses():
     with pytest.raises(ValueError, match="finite"):
         Directions(np.array([0.0, math.nan]), np.zeros(2))

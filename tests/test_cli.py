@@ -816,24 +816,49 @@ _SCAN_INPUTS = (
 @pytest.mark.parametrize("s, M", _LABELS, ids=[f"{s}{M}" for s, M in _LABELS])
 @pytest.mark.parametrize("param", _SWEEP_PARAMS)
 def test_each_scan_point_reports_what_expect_reports_there(capsys, param, s, M):
-    # scan evaluates a point from its swept direction and the one object that
+    # scan runs the matrix route once over its whole sweep as a batch, and
+    # the rest of a point from its swept direction and the one object that
     # holds it, built once per point; expect --grid 1 builds everything anew
-    # from the inputs the scan record echoes, so the results must be equal
+    # from the inputs the scan record echoes, so both print the same text
+    # (repr, so every bit and the sign of a zero) in JSON and in CSV
     argv = f"scan --s {s} --M {M} {_SCAN_INPUTS} --param {param} --start -1 --stop 7 --steps 5"
+    for output_format, parse, results in (
+        ("json", _json_lines, ["probabilities"]),
+        ("csv", _csv_rows, _P4.split()),
+    ):
+        code, out = _run(capsys, argv.split() + [f"--format={output_format}"])
+        assert code == EXIT_OK
+        records = parse(out)
+        assert len(records) == 5
+        for record in records:
+            flags = [f"--s={s}", f"--M={M}", f"--format={output_format}"] + [
+                f"--{name}={record[f'{name}_{first}']},{record[f'{name}_{second}']}"
+                for name, first, second in _ECHOED_PAIRS
+            ]
+            code, out = _run(capsys, ["expect"] + flags)
+            assert code == EXIT_OK
+            (want,) = parse(out)
+            for key in _ROUTES.split() + results:
+                assert repr(record[key]) == repr(want[key]), key
+
+
+@pytest.mark.parametrize("s, M", _LABELS, ids=[f"{s}{M}" for s, M in _LABELS])
+def test_a_grid_op_evaluates_the_coupling_row_once(capsys, monkeypatch, s, M):
+    # the label of expect --grid 10 keeps its chi row, so 100 (d, f)
+    # pairs of the matrix route read one evaluation of it
+    calls = []
+    true_row = kernels_mod._chi_row
+
+    def counted(label):
+        calls.append(label)
+        return true_row(label)
+
+    monkeypatch.setattr(kernels_mod, "_chi_row", counted)
+    argv = f"expect --s {s} --M {M} --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --grid 10 --seed 3"
     code, out = _run(capsys, argv.split())
     assert code == EXIT_OK
-    records = _json_lines(out)
-    assert len(records) == 5
-    for record in records:
-        flags = [f"--s={s}", f"--M={M}"] + [
-            f"--{name}={record[f'{name}_{first}']!r},{record[f'{name}_{second}']!r}"
-            for name, first, second in _ECHOED_PAIRS
-        ]
-        code, out = _run(capsys, ["expect"] + flags)
-        assert code == EXIT_OK
-        (want,) = _json_lines(out)
-        for key in _ROUTES.split() + ["probabilities"]:
-            assert record[key] == want[key], key
+    assert len(_json_lines(out)) == 1
+    assert len(calls) == 1
 
 
 def _json_cells(record, complex_keys):

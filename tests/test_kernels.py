@@ -306,7 +306,7 @@ class TestChi:
                 for zl, ml in zip(zeta, (1, 0, -1)):
                     want += zl * clebsch_gordan_half_half(1, ml, m1, m2)
             assert chi(label, m1, m2) == want
-        assert kernels_mod._chi_row(label) == _chi_quadruple(label).tolist()
+        assert kernels_mod._chi_row(label) == tuple(_chi_quadruple(label).tolist())
 
     def test_quadruples_are_orthonormal_across_labels(self, rng):
         for _ in range(25):

@@ -7,10 +7,11 @@ sandwiched ``np.kron(r1, r2)``, ``r_matrix`` multiplied through
 indexed NumPy arrays.  Where the rewrite keeps the arithmetic, results must
 be equal; where it changes the order of the float operations, they must
 agree within a tolerance fixed from float64 eps (about 2.2e-16) before
-measuring.  The state tensor is summed on Python complex numbers, so it
-equals the same sum written out in Python, and it agrees with the
-``np.kron`` sum within 4 eps: NumPy's SIMD loops may fuse a multiply and an
-add, which rounds the last bit differently on different CPUs.
+measuring.  The state tensor is summed on Python complex numbers, through
+the 2x2 matrix of chi values, so it equals the same sum written out in
+Python in that order, and it agrees with the ``np.kron`` sum within 4 eps:
+NumPy's SIMD loops may fuse a multiply and an add, which rounds the last
+bit differently on different CPUs.
 """
 
 import math
@@ -58,14 +59,20 @@ def reference_tensor(label, d, f):
 
 
 def python_reference_tensor(label, d, f):
-    """``reference_tensor``'s sum in the same order, on Python complex numbers."""
-    tensor = [0j] * 4
+    """``reference_tensor``'s sum as eta1^T C eta2 on Python complex numbers,
+    C the 2x2 matrix of chi values: for each m1, u[m1][j] is the sum over m2
+    of chi * eta2[m2][j]; then eta1[m1][i] * u[m1][j] goes onto 0j, PLUS
+    first."""
     eta1, eta2 = xi_half(Z_AXIS, d).tolist(), xi_half(Z_AXIS, f).tolist()
-    for m1, m2 in B_INDEX_ORDER:
-        c = chi(label, m1, m2)
+    u = [
+        [chi(label, m1, PLUS) * plus + chi(label, m1, MINUS) * minus for plus, minus in zip(*eta2)]
+        for m1 in (PLUS, MINUS)
+    ]
+    tensor = [0j] * 4
+    for m1 in (PLUS, MINUS):
         for i in range(2):
             for j in range(2):
-                tensor[2 * i + j] += c * (eta1[m1][i] * eta2[m2][j])
+                tensor[2 * i + j] += eta1[m1][i] * u[m1][j]
     return np.array(tensor)
 
 

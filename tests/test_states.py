@@ -58,18 +58,24 @@ class TestAssembleState:
                     assert term.coefficient == chi(label, m1, m2)
 
     def test_tensor_is_the_sum_of_its_terms(self, rng):
-        # exact against the sum on Python complex numbers, as the tensor is
-        # built; within 4 eps of np.kron, whose SIMD loops may fuse a
-        # multiply and an add
+        # exact against the sum on Python complex numbers in the order the
+        # tensor is built: per m1, u[j] = sum over m2 of coefficient *
+        # eta2[j], then eta1[i] * u[j] onto 0j, PLUS first; within 4 eps of
+        # np.kron, whose SIMD loops may fuse a multiply and an add
         label = CompoundLabel(1, -1, draw_direction(rng))
         asm = assemble_state(label, draw_direction(rng), draw_direction(rng))
         total = [0j] * 4
-        kron_total = np.zeros(4, dtype=complex)
-        for term in asm.terms:
-            eta1, eta2 = term.eta1.tolist(), term.eta2.tolist()
+        for first, second in (asm.terms[:2], asm.terms[2:]):  # m1 = PLUS, then MINUS
+            u = [
+                first.coefficient * x + second.coefficient * y
+                for x, y in zip(first.eta2.tolist(), second.eta2.tolist())
+            ]
+            eta1 = first.eta1.tolist()
             for i in range(2):
                 for j in range(2):
-                    total[2 * i + j] += term.coefficient * (eta1[i] * eta2[j])
+                    total[2 * i + j] += eta1[i] * u[j]
+        kron_total = np.zeros(4, dtype=complex)
+        for term in asm.terms:
             kron_total += term.coefficient * np.kron(term.eta1, term.eta2)
         assert np.array_equal(asm.tensor, total)
         assert np.max(np.abs(asm.tensor - kron_total)) <= 4 * np.finfo(float).eps
