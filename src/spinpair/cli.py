@@ -37,12 +37,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, verify as verify_mod
-from .directions import Direction, Directions
+from .directions import Direction
 from .expectation import (
     ExpectationReport,
     InternalConsistencyError,
-    _matrix_route,
-    _report,
     outcome_probabilities,
     verify_basis_invariance,
 )
@@ -566,10 +564,9 @@ def _cmd_verify(config: RunConfig):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
-def _swept(name: str, swept, label, spec, d, f):
+def _swept(name: str, swept: Direction, label, spec, d, f):
     """The label, spec, d and f of a scan with direction ``name`` set to
-    ``swept``, a Direction or a Directions batch: only the object holding
-    it changes."""
+    ``swept``: only the object holding it changes."""
     if name == "a":
         label = CompoundLabel(label.s, label.M, swept)
     elif name == "c1":
@@ -586,17 +583,12 @@ def _swept(name: str, swept, label, spec, d, f):
 def _cmd_scan(config: RunConfig):
     inputs, param = config.inputs, config.inputs["param"]
     name, _, angle = param.partition(".")
-    echo, fixed, steps = _echo(config), inputs[name], inputs["steps"]
+    echo, fixed = _echo(config), inputs[name]
     unswept = config.label, config.spec, inputs["d"], inputs["f"]
-    sweep = np.linspace(inputs["start"], inputs["stop"], steps)
-    swept = Directions(sweep, fixed.phi) if angle == "theta" else Directions(fixed.theta, sweep)
-    # The matrix route over the whole sweep in one call, each point with the
-    # bits it has alone; a sweep that route does not read (a singlet's axis)
-    # gives one number.
-    matrix_values = np.broadcast_to(_matrix_route(*_swept(name, swept, *unswept)), (steps,))
     records = []
-    for value, point, matrix_value in zip(sweep.tolist(), swept.points(), matrix_values.tolist()):
-        label, spec, _, _ = _swept(name, point, *unswept)
+    for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
+        point = Direction(value, fixed.phi) if angle == "theta" else Direction(fixed.theta, value)
+        label, spec, d, f = _swept(name, point, *unswept)
         records.append(
             {
                 "command": config.command,
@@ -605,7 +597,7 @@ def _cmd_scan(config: RunConfig):
                 **echo,
                 f"{name}_theta": point.theta,
                 f"{name}_phi": point.phi,
-                **_correlation(_report(label, spec, [matrix_value])),
+                **_correlation(verify_basis_invariance(label, spec, [(d, f)])),
             }
         )
     return records, EXIT_OK

@@ -16,8 +16,9 @@ intermediate directions (d, f) it is evaluated in;
 
 ``amplitude_psi``, ``outcome_probabilities`` and the bodies of the two
 routes, ``_oracle_route`` and ``_matrix_route``, run unchanged on one point
-or on a batch (see ``batch``); ``expectation_oracle`` and
-``expectation_matrix`` take one point.
+or on a ``verify`` batch (see ``batch``).  ``verify_basis_invariance``
+builds every report from ``expectation_matrix`` and ``expectation_oracle``,
+which take one point.
 """
 
 from __future__ import annotations
@@ -177,21 +178,16 @@ def verify_basis_invariance(
 ) -> ExpectationReport:
     """Evaluate both routes over a grid of (d, f) pairs and report residuals.
 
-    The value fields come from the first grid point; the invariance residual
-    is the max-min spread of the matrix route over the whole grid (zero for
-    a single-point grid).  Results the report refuses, such as a NaN from
-    either route at any point, raise InternalConsistencyError.
+    Each pair is one ``expectation_matrix`` call, and the oracle route runs
+    once.  The value fields come from the first grid point; the invariance
+    residual is the max-min spread of the matrix route over the whole grid
+    (zero for a single-point grid).  Results the report refuses, such as a
+    NaN from either route at any point, raise InternalConsistencyError.
     """
     pairs = list(grid)
     if not pairs:
         raise ValueError("grid of (d, f) pairs must be nonempty")
-    return _report(label, spec, [expectation_matrix(label, spec, d, f) for d, f in pairs])
-
-
-def _report(label: CompoundLabel, spec: MeasurementSpec, values: list[float]) -> ExpectationReport:
-    """``verify_basis_invariance``'s report, given the matrix route's values
-    over the grid (the first pair's first); the oracle route and the
-    probabilities are evaluated here."""
+    values = [expectation_matrix(label, spec, d, f) for d, f in pairs]
     # max and min skip a NaN unless it comes first, so look for one
     spread = math.nan if any(map(math.isnan, values)) else max(values) - min(values)
     oracle = expectation_oracle(label, spec)

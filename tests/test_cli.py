@@ -816,11 +816,11 @@ _SCAN_INPUTS = (
 @pytest.mark.parametrize("s, M", _LABELS, ids=[f"{s}{M}" for s, M in _LABELS])
 @pytest.mark.parametrize("param", _SWEEP_PARAMS)
 def test_each_scan_point_reports_what_expect_reports_there(capsys, param, s, M):
-    # scan runs the matrix route once over its whole sweep as a batch, and
-    # the rest of a point from its swept direction and the one object that
-    # holds it, built once per point; expect --grid 1 builds everything anew
-    # from the inputs the scan record echoes, so both print the same text
-    # (repr, so every bit and the sign of a zero) in JSON and in CSV
+    # scan builds each point from its swept direction and the one object
+    # that holds it, and reports both routes there through the call expect
+    # makes; expect --grid 1 builds everything anew from the inputs the scan
+    # record echoes, so both print the same text (repr, so every bit and the
+    # sign of a zero) in JSON and in CSV
     argv = f"scan --s {s} --M {M} {_SCAN_INPUTS} --param {param} --start -1 --stop 7 --steps 5"
     for output_format, parse, results in (
         ("json", _json_lines, ["probabilities"]),
@@ -840,6 +840,25 @@ def test_each_scan_point_reports_what_expect_reports_there(capsys, param, s, M):
             (want,) = parse(out)
             for key in _ROUTES.split() + results:
                 assert repr(record[key]) == repr(want[key]), key
+
+
+def test_scan_reads_the_public_matrix_route_at_each_point(capsys, monkeypatch):
+    # a matrix route 1e-6 off wherever c1.theta passes 1 shows in the
+    # residual of exactly the points past it
+    true_route = expectation_mod.expectation_matrix
+
+    def shifted(label, spec, d, f):
+        return true_route(label, spec, d, f) + (1e-6 if spec.c1.theta > 1 else 0.0)
+
+    monkeypatch.setattr(expectation_mod, "expectation_matrix", shifted)
+    argv = "scan --s 1 --M 0 --c1 0,0.2 --c2 0.5,2 --param c1.theta --start 0 --stop 2 --steps 9"
+    code, out = _run(capsys, argv.split())
+    assert code == EXIT_OK
+    records = _json_lines(out)
+    assert [r["value"] > 1 for r in records] == [False] * 5 + [True] * 4
+    residuals = [r["residual"] for r in records]
+    assert residuals[:5] == pytest.approx([0.0] * 5, abs=1e-12)
+    assert residuals[5:] == pytest.approx([1e-6] * 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("s, M", _LABELS, ids=[f"{s}{M}" for s, M in _LABELS])
@@ -1030,23 +1049,27 @@ class TestExitContract:
         else:
             monkeypatch.setattr(expectation_mod, "xi_half", broken_kernel)
             message = "expectation report: "
-        # outcome values all positive: the value, and so its residue, is never 0
-        argv = (
-            "scan --s 1 --M 0 --c1 0,0.2 --c2 0.5,2 --r1 2,1 --r2 2,1 "
-            "--param c1.theta --start 0 --stop 2 --steps 9 --format"
-        ).split() + [output_format]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == EXIT_INTERNAL
-        (line,) = captured.err.splitlines()
-        assert line.startswith(f"internal consistency violation: {message}")
-        if output_format == "json":
-            (text,) = captured.out.splitlines()
-            record = json.loads(text, parse_constant=_refuse)
-        else:
-            (record,) = _csv_rows(captured.out)
-        assert (record["command"], record["error"]) == ("scan", "internal-consistency")
-        assert record["detail"] == line.removeprefix("internal consistency violation: ")
+        def failed(command, c1, more=""):
+            # outcome values all positive: the value, and so its residue, is never 0
+            argv = f"{command} --s 1 --M 0 --c1 {c1} --c2 0.5,2 --r1 2,1 --r2 2,1 {more}"
+            code = main(argv.split() + ["--format", output_format])
+            captured = capsys.readouterr()
+            assert code == EXIT_INTERNAL
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"internal consistency violation: {message}")
+            if output_format == "json":
+                (text,) = captured.out.splitlines()
+                record = json.loads(text, parse_constant=_refuse)
+            else:
+                (record,) = _csv_rows(captured.out)
+            assert (record["command"], record["error"]) == (command, "internal-consistency")
+            assert record["detail"] == line.removeprefix("internal consistency violation: ")
+            return record["detail"]
+
+        sweep = "--param c1.theta --start 0 --stop 2 --steps 9"
+        # the scan ends at its first failing point, c1.theta = 1.25, with
+        # what expect reports there alone
+        assert failed("scan", "0,0.2", sweep) == failed("expect", "1.25,0.2")
 
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     @pytest.mark.parametrize(

@@ -288,6 +288,10 @@ class TestBasisInvarianceReport:
             ExpectationReport(0.0, 0.0, (0.5, 0.5, 0.5, 0.5), 0.0, 0.0)
         with pytest.raises(ValueError):
             ExpectationReport(0.0, 0.0, (-0.1, 0.5, 0.3, 0.3), 0.0, 0.0)
+        # in range and summing to 1, but not four of them
+        for probabilities in ((0.5, 0.5), (0.2,) * 5):
+            with pytest.raises(ValueError, match="four"):
+                ExpectationReport(0.0, 0.0, probabilities, 0.0, 0.0)
 
     @pytest.mark.parametrize("field", range(8))
     def test_report_rejects_a_nan_or_infinite_number(self, field):

@@ -54,6 +54,15 @@ class TestOutcomeValues:
         with pytest.raises(ValueError):
             OutcomeValues(1.0, bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1.0, -1.0], dtype=np.float32), np.array([1.0, math.inf])],
+        ids=["float32", "inf"],
+    )
+    def test_rejects_a_batch_that_is_not_finite_float64(self, bad):
+        with pytest.raises(ValueError, match="finite float64"):
+            OutcomeValues(np.array([1.0, 2.0]), bad)
+
 
 class TestRMatrix:
     def test_equal_values_give_a_multiple_of_identity(self, rng):

@@ -163,6 +163,12 @@ def test_each_check_runs_alone_on_its_own_stream(seed):
         assert (result.samples, result.max_residual) == _alone(seed, row, index), row[0]
 
 
+def test_an_unknown_check_name_in_the_overrides_is_refused():
+    # a typo must not leave the check it meant at its default tolerance
+    with pytest.raises(KeyError, match="typo"):
+        verify.run_verification(0, {"typo": 1.0})
+
+
 def test_replacing_one_check_leaves_the_others_unchanged(monkeypatch):
     before = _outcomes(verify.run_verification(5))
 
