@@ -39,7 +39,6 @@ import numpy as np
 from . import __version__, verify as verify_mod
 from .directions import Direction
 from .expectation import (
-    ExpectationReport,
     InternalConsistencyError,
     outcome_probabilities,
     verify_basis_invariance,
@@ -520,8 +519,9 @@ def _cmd_probabilities(config: RunConfig):
     return [_record(config, **results)], EXIT_OK
 
 
-def _correlation(report: ExpectationReport) -> dict[str, Any]:
-    """The expect and scan results, read from the report of both routes."""
+def _correlation(label: CompoundLabel, spec: MeasurementSpec, pairs) -> dict[str, Any]:
+    """The expect and scan results: both routes over the (d, f) pairs."""
+    report = verify_basis_invariance(label, spec, pairs)
     return {
         "value_matrix_path": report.value_matrix_path,
         "value_oracle_path": report.value_oracle_path,
@@ -538,8 +538,8 @@ def _cmd_expect(config: RunConfig):
     (more_f,) = draw(rng, n, [verify_mod._DIRECTION])
     ds = [config.inputs["d"], *more_d.points()]
     fs = [config.inputs["f"], *more_f.points()]
-    report = verify_basis_invariance(config.label, config.spec, [(d, f) for d in ds for f in fs])
-    return [_record(config, **_correlation(report))], EXIT_OK
+    results = _correlation(config.label, config.spec, [(d, f) for d in ds for f in fs])
+    return [_record(config, **results)], EXIT_OK
 
 
 def _cmd_verify(config: RunConfig):
@@ -564,40 +564,34 @@ def _cmd_verify(config: RunConfig):
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
-def _swept(name: str, swept: Direction, label, spec, d, f):
-    """The label, spec, d and f of a scan with direction ``name`` set to
-    ``swept``: only the object holding it changes."""
-    if name == "a":
-        label = CompoundLabel(label.s, label.M, swept)
-    elif name == "c1":
-        spec = MeasurementSpec(swept, spec.c2, spec.values1, spec.values2)
-    elif name == "c2":
-        spec = MeasurementSpec(spec.c1, swept, spec.values1, spec.values2)
-    elif name == "d":
-        d = swept
-    else:
-        f = swept
-    return label, spec, d, f
-
-
 def _cmd_scan(config: RunConfig):
     inputs, param = config.inputs, config.inputs["param"]
     name, _, angle = param.partition(".")
     echo, fixed = _echo(config), inputs[name]
-    unswept = config.label, config.spec, inputs["d"], inputs["f"]
+    label, spec, d, f = config.label, config.spec, inputs["d"], inputs["f"]
     records = []
+    # Per point only the swept direction and the one object holding it change.
     for value in np.linspace(inputs["start"], inputs["stop"], inputs["steps"]).tolist():
-        point = Direction(value, fixed.phi) if angle == "theta" else Direction(fixed.theta, value)
-        label, spec, d, f = _swept(name, point, *unswept)
+        swept = Direction(value, fixed.phi) if angle == "theta" else Direction(fixed.theta, value)
+        if name == "a":
+            label = CompoundLabel(label.s, label.M, swept)
+        elif name == "c1":
+            spec = MeasurementSpec(swept, spec.c2, spec.values1, spec.values2)
+        elif name == "c2":
+            spec = MeasurementSpec(spec.c1, swept, spec.values1, spec.values2)
+        elif name == "d":
+            d = swept
+        else:
+            f = swept
         records.append(
             {
                 "command": config.command,
                 "param": param,
                 "value": value,
                 **echo,
-                f"{name}_theta": point.theta,
-                f"{name}_phi": point.phi,
-                **_correlation(verify_basis_invariance(label, spec, [(d, f)])),
+                f"{name}_theta": swept.theta,
+                f"{name}_phi": swept.phi,
+                **_correlation(label, spec, [(d, f)]),
             }
         )
     return records, EXIT_OK

@@ -14,11 +14,11 @@ identically, and the matrix route is additionally independent of the
 intermediate directions (d, f) it is evaluated in;
 ``verify_basis_invariance`` measures both facts.
 
-``amplitude_psi``, ``outcome_probabilities`` and the bodies of the two
-routes, ``_oracle_route`` and ``_matrix_route``, run unchanged on one point
-or on a ``verify`` batch (see ``batch``).  ``verify_basis_invariance``
-builds every report from ``expectation_matrix`` and ``expectation_oracle``,
-which take one point.
+``amplitude_psi``, ``outcome_probabilities``, ``singlet_expectation`` and the
+bodies of the two routes, ``_oracle_route`` and ``_matrix_route``, run
+unchanged on one point or on a ``verify`` batch (see ``batch``).
+``verify_basis_invariance`` builds every report from ``expectation_matrix``
+and ``expectation_oracle``, which take one point.
 """
 
 from __future__ import annotations
@@ -164,10 +164,11 @@ def _matrix_route(label: CompoundLabel, spec: MeasurementSpec, d, f):
     imag = abs(value.imag)
     over = imag > IMAG_TOLERANCE  # a bool, or one per point of a batch
     if over is not False and np.any(
-        over & (imag > IMAG_TOLERANCE * (spec.values1.largest * spec.values2.largest))
+        fails := over & (imag > IMAG_TOLERANCE * (spec.values1.largest * spec.values2.largest))
     ):
-        worst = value.imag if over is True else float(np.max(imag))
-        raise InternalConsistencyError(f"expectation value has imaginary part {worst!r}")
+        # a batch names its first failing point (row major), as that point alone would
+        worst = value.imag if over is True else np.broadcast_to(value.imag, fails.shape)[fails][0]
+        raise InternalConsistencyError(f"expectation value has imaginary part {float(worst)!r}")
     return value.real
 
 
@@ -205,10 +206,12 @@ def verify_basis_invariance(
 
 
 def singlet_expectation(c1: Direction, c2: Direction) -> float:
-    """Spin-projection correlation of the singlet, equal to -cos(angle between)."""
+    """Spin-projection correlation of the singlet, equal to -cos(angle between).
+
+    On ``Directions`` batches, one value per point with that point's bits."""
     label = CompoundLabel(0, 0, Z_AXIS)
     spec = MeasurementSpec(c1, c2, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
-    return expectation_oracle(label, spec)
+    return _oracle_route(label, spec)
 
 
 def chsh_value(a: Direction, a_prime: Direction, b: Direction, b_prime: Direction) -> float:

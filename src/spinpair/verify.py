@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expectation, kernels, operators, states
-from .batch import Complexes, unstack
+from .batch import rect, unstack
 from .directions import Direction, Directions, Z_AXIS, angle_between
 from .kernels import B_INDEX_ORDER, CompoundLabel, SQRT_HALF
 from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues
@@ -192,7 +192,7 @@ def _check_standard_form_operators(rng, samples):
     (c,) = _draw(rng, samples, [_DIRECTION])
     got = unstack(operators.r_matrix(Z_AXIS, c, SPIN_PROJECTION_VALUES), 2)
     cos, sin = np.cos(c.theta), np.sin(c.theta)
-    phase = Complexes(np.cos(c.phi), np.sin(c.phi))  # exp(1j * phi)
+    phase = rect(1.0, c.phi)  # exp(1j * phi)
     return _gaps(samples, got, [[cos, sin * phase.conjugate()], [sin * phase, -cos]])
 
 
@@ -310,12 +310,7 @@ def _check_singlet_cosine_law(rng, samples):
 
 def _check_singlet_rotation_invariance(rng, samples):
     c1, c2, delta = _draw(rng, samples, 2 * [_DIRECTION] + [_ANGLES[1]])
-    singlet = CompoundLabel(0, 0, Z_AXIS)
-
-    def value(a, b):
-        spec = MeasurementSpec(a, b, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
-        return expectation._oracle_route(singlet, spec)
-
+    value = expectation.singlet_expectation
     turned = (Directions(c.theta, c.phi + delta) for c in (c1, c2))
     return np.abs(value(c1, c2) - value(*turned))
 

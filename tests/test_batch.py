@@ -205,6 +205,16 @@ def test_both_expectation_routes(inputs, s, M):
     assert _bits(oracle) == _bits(_per_point(alone_oracle, N))
 
 
+def test_singlet_expectation(inputs):
+    got = expectation.singlet_expectation(inputs["c1"], inputs["c2"])
+    points = inputs["points"]
+
+    def alone(k):
+        return expectation.singlet_expectation(points["c1"][k], points["c2"][k])
+
+    assert _bits(got) == _bits(_per_point(alone, N))
+
+
 def test_batch_axes_broadcast(inputs):
     # a (5, 1, n) batch against a (1, 5, n) one gives the 5 x 5 grid of pairs
     label, spec = _label(inputs, 1, 0), _spec(inputs)
@@ -219,14 +229,30 @@ def test_batch_axes_broadcast(inputs):
 
 
 def test_a_batch_with_an_imaginary_residue_at_one_point_raises(monkeypatch, inputs):
+    # residues of either sign at two points: the batch names the first, row
+    # major, by the signed imaginary part that point raises alone
     true_pair = operators.operator_pair
 
-    def one_point_off(spec, d, f):
-        r1, r2 = true_pair(spec, d, f)
-        r1 = r1.copy()
-        r1[7, 0, 0] += 1e-9j
-        return r1, r2
+    def message(residues, *args):
+        def off(spec, d, f):
+            r1, r2 = true_pair(spec, d, f)
+            r1 = r1.copy()
+            for k, residue in residues.items():
+                r1[k][0, 0] += residue  # index () is the whole block of one point
+            return r1, r2
 
-    inject_blocks(monkeypatch, one_point_off)
-    with pytest.raises(expectation.InternalConsistencyError, match="imaginary part"):
-        expectation._matrix_route(_label(inputs, 1, 1), _spec(inputs), inputs["d"], inputs["f"])
+        inject_blocks(monkeypatch, off)
+        with pytest.raises(expectation.InternalConsistencyError, match="imaginary part") as exc:
+            expectation._matrix_route(*args)
+        return str(exc.value)
+
+    def alone(k, residue):
+        points = inputs["points"]
+        args = _label(inputs, 1, 1, k), _spec(inputs, k), points["d"][k], points["f"][k]
+        return message({(): residue}, *args)
+
+    batch = _label(inputs, 1, 1), _spec(inputs), inputs["d"], inputs["f"]
+    got = message({7: 1e-9j, 31: -1e-6j}, *batch)
+    assert got == alone(7, 1e-9j)
+    assert got != alone(31, -1e-6j)
+    assert "imaginary part -" in got  # the sign, which the largest magnitude drops

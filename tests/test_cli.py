@@ -21,7 +21,7 @@ import spinpair.expectation as expectation_mod
 import spinpair.operators as operators_mod
 import spinpair.states as states_mod
 from spinpair import Direction, expectation_matrix
-from spinpair.verify import DEFAULT_TOLERANCES, _DIRECTION, _draw
+from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -573,6 +573,26 @@ class TestParsing:
             assert _strip_timestamps(out) == _strip_timestamps(want_out), argv
 
 
+_GRID_BASE = "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2".split()
+
+
+def _grid_4_seed_3() -> list[tuple[Direction, Direction]]:
+    """The (d, f) pairs of ``_GRID_BASE`` with --grid 4 --seed 3, d major:
+    d, then the rows of one default_rng(3).random((3, 2)) block as (theta,
+    phi), each low + (high - low) * u over (0, pi) and (0, 2 pi); then f and
+    the next such block."""
+    rng, inputs = np.random.default_rng(3), parse_config(_GRID_BASE).inputs
+
+    def directions(first):
+        block = rng.random((3, 2)).tolist()
+        return [first] + [
+            Direction(0.0 + (math.pi - 0.0) * u, 0.0 + (2.0 * math.pi - 0.0) * v) for u, v in block
+        ]
+
+    ds, fs = directions(inputs["d"]), directions(inputs["f"])
+    return [(d, f) for d in ds for f in fs]
+
+
 class TestCommands:
     def test_state_standard_limit(self, capsys):
         code, out = _run(capsys, ["state", "--s", "1", "--M", "1"])
@@ -613,25 +633,36 @@ class TestCommands:
         _, single = _run(capsys, argv[:-1] + ["1"])
         assert _json_lines(single)[0]["seed"] is None
 
+    def test_grid_draws_its_pairs_from_one_block_per_intermediate(self, capsys, monkeypatch):
+        # the (d, f) pairs expect --grid 4 --seed 3 hands the matrix route,
+        # each angle by float.hex
+        seen, true_route = [], expectation_mod.expectation_matrix
+
+        def angles(d, f):
+            return tuple(x.hex() for x in (d.theta, d.phi, f.theta, f.phi))
+
+        def recorded(label, spec, d, f):
+            seen.append(angles(d, f))
+            return true_route(label, spec, d, f)
+
+        monkeypatch.setattr(expectation_mod, "expectation_matrix", recorded)
+        code, _ = _run(capsys, _GRID_BASE + "--grid 4 --seed 3".split())
+        assert code == EXIT_OK
+        assert seen == [angles(d, f) for d, f in _grid_4_seed_3()]
+
     def test_grid_pairs_carry_the_bits_of_single_pairs(self, capsys):
-        # expect --grid 4 evaluates 16 (d, f) pairs in one run; redrawn as
-        # _cmd_expect draws them and run one at a time with --d and --f, the
-        # pairs give the grid record's spread and first value, bit for bit
-        base = "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2".split()
-        code, out = _run(capsys, base + "--grid 4 --seed 3".split())
+        # expect --grid 4 evaluates 16 (d, f) pairs in one run; run one at a
+        # time with --d and --f, the pairs give the grid record's spread and
+        # first value, bit for bit
+        code, out = _run(capsys, _GRID_BASE + "--grid 4 --seed 3".split())
         assert code == EXIT_OK
         (record,) = _json_lines(out)
-        rng = np.random.default_rng(3)
-        (more_d,) = _draw(rng, 3, [_DIRECTION])
-        (more_f,) = _draw(rng, 3, [_DIRECTION])
-        inputs = parse_config(base).inputs
         values = []
-        for d in [inputs["d"], *more_d.points()]:
-            for f in [inputs["f"], *more_f.points()]:
-                at = ["--d", f"{d.theta!r},{d.phi!r}", "--f", f"{f.theta!r},{f.phi!r}"]
-                code, out = _run(capsys, base + at)
-                assert code == EXIT_OK
-                values.append(_json_lines(out)[0]["value_matrix_path"])
+        for d, f in _grid_4_seed_3():
+            at = ["--d", f"{d.theta!r},{d.phi!r}", "--f", f"{f.theta!r},{f.phi!r}"]
+            code, out = _run(capsys, _GRID_BASE + at)
+            assert code == EXIT_OK
+            values.append(_json_lines(out)[0]["value_matrix_path"])
         assert len(values) == 16
         assert record["basis_invariance_residual"] == max(values) - min(values)
         assert record["value_matrix_path"] == values[0]
