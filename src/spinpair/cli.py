@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from typing import Any, Callable
@@ -476,7 +476,7 @@ def _echo(config: RunConfig) -> dict[str, Any]:
     for name, value in config.inputs.items():
         if type(value) in _PAIR_FORMS:
             keys = _PAIR_FORMS[type(value)][0]
-            out.update(zip((f"{name}_{key}" for key in keys), vars(value).values()))
+            out.update(zip((f"{name}_{key}" for key in keys), astuple(value)))
         elif name not in _UNECHOED:
             out[name] = value
     return out

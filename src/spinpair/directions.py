@@ -38,7 +38,9 @@ class Direction:
     neither is -0.0.  The reduction is idempotent.  At the poles the azimuth
     is kept as given, as a phase convention: along (0, phi) every pair state
     (s, M) is exp(-1j*M*phi) times the state along (0, 0), so directions that
-    differ only there compare unequal on purpose.
+    differ only there compare unequal on purpose.  Once a kernel reads them,
+    a direction other than ``Z_AXIS`` keeps its rotation rows (see
+    ``kernels``), which ==, hash and repr ignore as they are not fields.
     """
 
     theta: float

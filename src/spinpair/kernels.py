@@ -12,10 +12,14 @@ All functions are pure; return values are plain numbers or fresh numpy
 arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
 ``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
 the public kernels are arrays over those lists, and the matrix route of the
-package (``states._tensor`` and ``operators._r_entries``) reads the lists
-directly, so one point of it builds no array.  A ``CompoundLabel`` keeps
-its ``_chi_row`` once ``states._tensor`` reads it, so each (d, f) pair of
-the same label reuses it.  Every kernel runs unchanged on one point or on a
+package (``states._tensor`` and ``operators._r_entries``) reads the entries
+directly, so one point of it builds no array.  What depends on one point
+alone is kept with it from the first read on: a ``CompoundLabel`` keeps its
+``_chi_row``, which ``states._tensor`` reads, and a ``Direction`` keeps the
+entries of ``xi_half(Z_AXIS, d)`` (``_eta_rows``, which ``_tensor`` reads
+too) and of ``zeta_spin1(M, d)`` for all three M, so each formula runs once
+per label or direction however many pairs or amplitudes read it.  ``Z_AXIS``
+and a batch keep nothing.  Every kernel runs unchanged on one point or on a
 batch (a ``Directions``, or a label whose axis is one): the entries are then
 Complexes, the arrays have the batch axes first (see ``batch``).
 """
@@ -30,7 +34,7 @@ from enum import IntEnum
 import numpy as np
 
 from .batch import stack, unstack
-from .directions import Direction
+from .directions import Direction, Z_AXIS
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -111,6 +115,17 @@ def _xi_entries(initial, final) -> list:
     return [ci * cf + wsi * sf, -ci * sf + wsi * cf, -si * cf + wci * sf, si * sf + wci * cf]
 
 
+def _eta_rows(d) -> tuple:
+    """The entries of ``xi_half(Z_AXIS, d)``, kept on a point ``d`` (see ``Direction``)."""
+    try:
+        return d._eta
+    except AttributeError:
+        rows = tuple(_xi_entries(Z_AXIS, d))
+        if type(d) is Direction and d is not Z_AXIS:
+            object.__setattr__(d, "_eta", rows)
+        return rows
+
+
 def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     """Spin-1/2 direction-change amplitude matrix.
 
@@ -138,7 +153,7 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     numpy.ndarray
         Complex 2x2 matrix, one per point of a batch.
     """
-    return stack(_xi_entries(initial, final), (2, 2))
+    return stack(_eta_rows(final) if initial is Z_AXIS else _xi_entries(initial, final), (2, 2))
 
 
 def _zeta_entries(M: int, a) -> list:
@@ -166,7 +181,15 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    return stack(_zeta_entries(M, a), (3,))
+    try:  # the rows of M = +1, 0, -1, as a point keeps them (see Direction)
+        row = a._zeta[(1, 0, -1).index(M)]
+    except AttributeError:
+        row = _zeta_entries(M, a)
+        if type(a) is Direction and a is not Z_AXIS:
+            object.__setattr__(a, "_zeta", tuple(tuple(_zeta_entries(m, a)) for m in (1, 0, -1)))
+    except ValueError:  # M is none of them, which _zeta_entries refuses
+        row = _zeta_entries(M, a)
+    return stack(row, (3,))
 
 
 # Coupling coefficients of the four total-spin labels (s, M), one row per

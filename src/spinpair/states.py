@@ -24,7 +24,7 @@ import numpy as np
 
 from .batch import Complexes, stack
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, _xi_entries
+from .kernels import B_INDEX_ORDER, CompoundLabel, _eta_rows
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -56,17 +56,17 @@ class StateAssembly:
     tensor: np.ndarray
 
 
-def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, list, list]:
+def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, tuple, tuple]:
     """The tensor of the state (s, M) in the (d, f) basis, with its parts.
 
     Returns (tensor, coefficients, eta1, eta2), Python complex numbers or a
     batch's values: the coefficients are the ``chi`` values over
     B_INDEX_ORDER (the label's row, kept with the label), and eta1 (eta2)
     holds the entries of ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``) row
-    major, row m being the eta vector of projection m.  With the
-    coefficients as the 2x2 matrix C (row m1, column m2), the tensor is
-    eta1^T C eta2: first u_m1 = sum over m2 of C[m1][m2] * eta2[m2], then
-    component 2 i + j is
+    major, kept with the direction, row m being the eta vector of projection
+    m.  With the coefficients as the 2x2 matrix C (row m1, column m2), the
+    tensor is eta1^T C eta2: first u_m1 = sum over m2 of C[m1][m2] * eta2[m2],
+    then component 2 i + j is
 
         eta1[PLUS][i] * u_PLUS[j] + eta1[MINUS][i] * u_MINUS[j]
 
@@ -75,8 +75,8 @@ def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, list, list]:
     rather than 48.
     """
     c0, c1, c2, c3 = coefficients = label._coupling_row
-    eta1 = _xi_entries(Z_AXIS, d)
-    eta2 = _xi_entries(Z_AXIS, f)
+    eta1 = _eta_rows(d)
+    eta2 = _eta_rows(f)
     # a_i, b_i: component i of the plus and the minus row of eta1; p_j, q_j
     # likewise for eta2; u_j, v_j: component j of u_PLUS and u_MINUS.
     a0, a1, b0, b1 = eta1

@@ -20,7 +20,7 @@ import spinpair.kernels as kernels_mod
 import spinpair.expectation as expectation_mod
 import spinpair.operators as operators_mod
 import spinpair.states as states_mod
-from spinpair import Direction, expectation_matrix
+from spinpair import Direction, Z_AXIS, expectation_matrix
 from spinpair.verify import DEFAULT_TOLERANCES
 from spinpair.cli import (
     EXIT_INTERNAL,
@@ -771,6 +771,19 @@ class TestCommands:
                 assert key in swept or record[key] == base[key]
         assert len({tuple(r[key] for key in swept) for r in records}) == 9
 
+    def test_a_direction_echoes_its_two_angles_once_its_rows_are_kept(self):
+        argv = "expect --s 1 --M 0 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 2,3"
+        config = parse_config(argv.split())
+        before = json.dumps(cli_mod._echo(config))
+        for name in ("a", "c1", "c2", "d", "f"):
+            direction = config.inputs[name]
+            kernels_mod.xi_half(Z_AXIS, direction)
+            kernels_mod.zeta_spin1(0, direction)
+        echo = cli_mod._echo(config)
+        assert json.dumps(echo) == before
+        keys = f"{_ECHO_LABEL} {_ECHO_DF} {_ECHO_SPEC}".split()
+        assert [key for key in echo if key != "grid"] == keys
+
 
 _ECHO_LABEL = "s M a_theta a_phi"
 _ECHO_DF = "d_theta d_phi f_theta f_phi"
@@ -1106,7 +1119,7 @@ class TestExitContract:
     @pytest.mark.parametrize(
         "argv, module, name, field",
         [
-            ("state --s 1 --M 0 --a 0.4,1 --d 0.7,2.5", states_mod, "_xi_entries", "tensor"),
+            ("state --s 1 --M 0 --a 0.4,1 --d 0.7,2.5", states_mod, "_eta_rows", "tensor"),
             ("operator --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5", operators_mod, "_xi_entries", "r1"),
             ("probabilities --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2", expectation_mod, "xi_half",
              "probabilities"),
@@ -1120,9 +1133,9 @@ class TestExitContract:
         # before anything is printed, as NaN is not JSON.
         true_kernel = getattr(module, name)
 
-        def nan_first_entry(initial, final):
-            x = true_kernel(initial, final)
-            if isinstance(x, list):
+        def nan_first_entry(*directions):
+            x = true_kernel(*directions)
+            if isinstance(x, (list, tuple)):
                 return [math.nan, *x[1:]]
             x[..., 0, 0] = math.nan
             return x
@@ -1140,6 +1153,25 @@ class TestExitContract:
             (record,) = _csv_rows(captured.out)
         command = argv.split()[0]
         assert (record["command"], record["error"]) == (command, "internal-consistency")
+
+    def test_a_fault_in_one_run_does_not_outlive_it(self, capsys, monkeypatch):
+        # one process may make many runs (perfbench makes all its ops in
+        # one), so nothing a run keeps may reach the next one
+        argv = "expect --s 1 --M -1 --a 0.4,1 --c1 0.3,0.2 --c2 1.2,2 --d 0.7,2.5 --f 2,3"
+        argv = argv.split() + ["--grid", "3"]
+        code, intact = _run(capsys, argv)
+        assert code == EXIT_OK
+        true_entries = kernels_mod._xi_entries
+
+        def nan_first_entry(initial, final):
+            return [math.nan, *true_entries(initial, final)[1:]]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_mod, "_xi_entries", nan_first_entry)
+            assert _run(capsys, argv)[0] == EXIT_INTERNAL
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        assert _strip_timestamps(out) == _strip_timestamps(intact)
 
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_a_nan_residual_fails_its_check_and_prints_as_null(

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from spinpair import (
     PLUS,
     CompoundLabel,
     Direction,
+    Directions,
     Z_AXIS,
+    assemble_state,
     chi,
     clebsch_gordan_half_half,
     xi_half,
@@ -191,6 +194,71 @@ class TestEntryCores:
         for a in _core_directions(rng):
             for m in (1, 0, -1):
                 assert _bits(kernels_mod._zeta_entries(m, a)) == _bits(zeta_spin1(m, a).tolist())
+
+
+class TestKeptRows:
+    """A point Direction keeps the rows of ``xi_half(Z_AXIS, .)`` and of
+    ``zeta_spin1`` from the first read on; what the kernels return does not
+    change with it."""
+
+    def test_every_read_has_the_bits_of_the_formulas(self, rng, monkeypatch):
+        ds = _core_directions(rng)
+        want = [
+            (_bits(kernels_mod._xi_entries(Z_AXIS, d)),
+             [_bits(kernels_mod._zeta_entries(m, d)) for m in (1, 0, -1)])
+            for d in ds
+        ]
+
+        def got():
+            return [
+                (_bits(xi_half(Z_AXIS, d).ravel().tolist()),
+                 [_bits(zeta_spin1(m, d).tolist()) for m in (1, 0, -1)])
+                for d in ds
+            ]
+
+        assert got() == want
+
+        def refuse(*args):
+            raise AssertionError("a kept row was evaluated again")
+
+        # a later read evaluates no formula
+        monkeypatch.setattr(kernels_mod, "_xi_entries", refuse)
+        monkeypatch.setattr(kernels_mod, "_zeta_entries", refuse)
+        assert got() == want
+
+    def test_a_returned_array_is_a_fresh_one(self):
+        d = Direction(0.7, 2.5)
+        for read in (lambda: xi_half(Z_AXIS, d), lambda: zeta_spin1(-1, d)):
+            first = read()
+            want = first.tobytes()
+            first[...] = math.nan
+            assert read().tobytes() == want
+
+    @pytest.mark.parametrize("bad", [2, -2, 0.5])
+    def test_a_bad_projection_is_refused_before_and_after_the_rows_are_kept(self, bad):
+        d = Direction(0.7, 2.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="spin-1 projection M must be"):
+                zeta_spin1(bad, d)
+            zeta_spin1(1, d)
+
+    def test_a_batch_and_the_z_axis_keep_nothing(self):
+        batch = Directions([0.3, 1.2], [0.2, 2.0])
+        before = {obj: dir(obj) for obj in (batch, Z_AXIS)}
+        for f in (batch, Z_AXIS):
+            xi_half(Z_AXIS, f)
+            zeta_spin1(1, f)
+            assemble_state(CompoundLabel(1, 0, Z_AXIS), f, f)
+        assert {obj: dir(obj) for obj in (batch, Z_AXIS)} == before
+
+    def test_a_kept_direction_compares_hashes_prints_and_pickles_as_before(self):
+        d, fresh = Direction(0.7, 2.5), Direction(0.7, 2.5)
+        xi_half(Z_AXIS, d)
+        zeta_spin1(0, d)
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        back = pickle.loads(pickle.dumps(d))
+        assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
+        assert xi_half(Z_AXIS, back).tobytes() == xi_half(Z_AXIS, fresh).tobytes()
 
 
 class TestClebschGordan:
