@@ -15,6 +15,8 @@ shape.
 ``stack`` turns the entries a body computes into the array a public function
 returns, and ``unstack`` turns such an array back into entries: one point's
 array has the core shape, a batch's has the batch axes before it.
+``readonly`` refuses writes to an array that is kept or shared: a batch's
+angles, and the arrays a direction keeps (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ def stack(values, shape: tuple[int, ...]) -> np.ndarray:
         for k, v in enumerate(values):
             out[..., k] = v
     return out.reshape(out.shape[:-1] + shape)
+
+
+def readonly(a):
+    """``a`` with writes refused from now on; a NumPy scalar refuses them already."""
+    if isinstance(a, np.ndarray):
+        a.setflags(write=False)
+    return a
 
 
 def unstack(a: np.ndarray, ndim: int):

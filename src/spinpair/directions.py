@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import Complexes, rect
+from .batch import Complexes, readonly, rect
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +41,7 @@ class Direction:
     differ only there compare unequal on purpose.  Once a kernel reads them,
     a direction other than ``Z_AXIS`` keeps its rotation rows (see
     ``kernels``), which ==, hash and repr ignore as they are not fields.
+    ``Z_AXIS`` keeps nothing, so no run can leave rows behind on it.
     """
 
     theta: float
@@ -69,9 +70,13 @@ class Directions:
     point k of a batch has the angles of ``Direction(theta[k], phi[k])``.
     The formula bodies run on a batch with NumPy's cos and sin, which give
     the bits of ``math.cos`` and ``math.sin``, and with Complexes values.
+    Like a point, a batch keeps its rotation rows from a kernel's first read
+    on (see ``kernels``), in the slots after the angles; its angles are
+    read-only arrays, so the rows cannot go stale, and a batch taken by
+    indexing or copying starts with none.
     """
 
-    __slots__ = ("theta", "phi")
+    __slots__ = ("theta", "phi", "_eta", "_xi", "_zeta")
     __iter__ = None  # not a sequence: points() gives the Direction objects
     _arithmetic = (np.cos, np.sin, rect, Complexes(0.0, 0.0))
 
@@ -82,14 +87,20 @@ class Directions:
         theta, phi = np.broadcast_arrays(*(a.astype(float, copy=False) for a in arrays))
         if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
             raise ValueError("direction angles must be finite")
-        self.theta, self.phi = _reduce(theta, phi, np.fmod, np.where)
+        self.theta, self.phi = map(readonly, _reduce(theta, phi, np.fmod, np.where))
 
     def __getitem__(self, index) -> Directions:
         """The directions at a NumPy ``index`` into the batch axes, whose
         angles are reduced already and so are taken as they are."""
         batch = object.__new__(Directions)
-        batch.theta, batch.phi = self.theta[index], self.phi[index]
+        # a mask or an index array copies, which would be writeable
+        batch.theta, batch.phi = readonly(self.theta[index]), readonly(self.phi[index])
         return batch
+
+    def __reduce__(self):
+        # a copy or an unpickled batch is built again from its angles, so its
+        # angles are read-only too and it keeps no rows
+        return Directions, (self.theta, self.phi)
 
     def points(self) -> list[Direction]:
         """The batch as Direction objects, in row-major order."""

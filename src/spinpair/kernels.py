@@ -13,14 +13,16 @@ arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
 ``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
 the public kernels are arrays over those lists, and the matrix route of the
 package (``states._tensor`` and ``operators._r_entries``) reads the entries
-directly, so one point of it builds no array.  What depends on one point
-alone is kept with it from the first read on: a ``CompoundLabel`` keeps its
-``_chi_row``, which ``states._tensor`` reads, and a ``Direction`` keeps the
-entries of ``xi_half(Z_AXIS, d)`` (``_eta_rows``, which ``_tensor`` reads
-too) and of ``zeta_spin1(M, d)`` for all three M, so each formula runs once
-per label or direction however many pairs or amplitudes read it.  ``Z_AXIS``
-and a batch keep nothing.  Every kernel runs unchanged on one point or on a
-batch (a ``Directions``, or a label whose axis is one): the entries are then
+directly, so one point of it builds no array.  What depends on one label or
+direction alone is kept with it from the first read on: a ``CompoundLabel``
+keeps its ``_chi_row``, which ``states._tensor`` reads, and a direction,
+point or batch, keeps the entries of ``xi_half(Z_AXIS, d)`` (``_eta_rows``,
+which ``_tensor`` reads too), that matrix as a read-only array, and the
+read-only arrays of ``zeta_spin1(M, d)`` for all three M.  So each formula
+runs once per label or direction however many pairs or amplitudes read it,
+and the two public kernels return a copy of a kept array.  ``Z_AXIS`` keeps
+nothing.  Every kernel runs unchanged on one point or on a batch (a
+``Directions``, or a label whose axis is one): the entries are then
 Complexes, the arrays have the batch axes first (see ``batch``).
 """
 
@@ -33,7 +35,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .batch import stack, unstack
+from .batch import readonly, stack, unstack
 from .directions import Direction, Z_AXIS
 
 SQRT_HALF = math.sqrt(0.5)
@@ -115,15 +117,20 @@ def _xi_entries(initial, final) -> list:
     return [ci * cf + wsi * sf, -ci * sf + wsi * cf, -si * cf + wci * sf, si * sf + wci * cf]
 
 
+def _keep(d, name: str, value):
+    """``value``, kept on the direction ``d`` as ``name`` unless ``d`` is
+    ``Z_AXIS``, which keeps nothing."""
+    if d is not Z_AXIS:
+        object.__setattr__(d, name, value)
+    return value
+
+
 def _eta_rows(d) -> tuple:
-    """The entries of ``xi_half(Z_AXIS, d)``, kept on a point ``d`` (see ``Direction``)."""
+    """The entries of ``xi_half(Z_AXIS, d)``, kept on ``d`` (see ``Direction``)."""
     try:
         return d._eta
     except AttributeError:
-        rows = tuple(_xi_entries(Z_AXIS, d))
-        if type(d) is Direction and d is not Z_AXIS:
-            object.__setattr__(d, "_eta", rows)
-        return rows
+        return _keep(d, "_eta", tuple(_xi_entries(Z_AXIS, d)))
 
 
 def xi_half(initial: Direction, final: Direction) -> np.ndarray:
@@ -153,7 +160,12 @@ def xi_half(initial: Direction, final: Direction) -> np.ndarray:
     numpy.ndarray
         Complex 2x2 matrix, one per point of a batch.
     """
-    return stack(_eta_rows(final) if initial is Z_AXIS else _xi_entries(initial, final), (2, 2))
+    if initial is not Z_AXIS:
+        return stack(_xi_entries(initial, final), (2, 2))
+    try:  # a copy of the matrix ``final`` keeps
+        return final._xi.copy()
+    except AttributeError:
+        return _keep(final, "_xi", readonly(stack(_eta_rows(final), (2, 2)))).copy()
 
 
 def _zeta_entries(M: int, a) -> list:
@@ -181,15 +193,15 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    try:  # the rows of M = +1, 0, -1, as a point keeps them (see Direction)
-        row = a._zeta[(1, 0, -1).index(M)]
+    # Z_AXIS keeps nothing, and _zeta_entries refuses any other M
+    if a is Z_AXIS or M not in (1, 0, -1):
+        return stack(_zeta_entries(M, a), (3,))
+    try:  # a copy of M's row, of the rows ``a`` keeps for M = +1, 0, -1
+        rows = a._zeta
     except AttributeError:
-        row = _zeta_entries(M, a)
-        if type(a) is Direction and a is not Z_AXIS:
-            object.__setattr__(a, "_zeta", tuple(tuple(_zeta_entries(m, a)) for m in (1, 0, -1)))
-    except ValueError:  # M is none of them, which _zeta_entries refuses
-        row = _zeta_entries(M, a)
-    return stack(row, (3,))
+        rows = tuple(readonly(stack(_zeta_entries(m, a), (3,))) for m in (1, 0, -1))
+        object.__setattr__(a, "_zeta", rows)
+    return rows[(1, 0, -1).index(M)].copy()
 
 
 # Coupling coefficients of the four total-spin labels (s, M), one row per

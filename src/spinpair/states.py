@@ -22,14 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import Complexes, stack
+from .batch import Complexes, readonly, stack
 from .directions import Direction, Z_AXIS
 from .kernels import B_INDEX_ORDER, CompoundLabel, _eta_rows
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +98,14 @@ def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAss
     coefficient that depends on the point is an array over them.
     """
     tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
-    eta1 = _readonly(stack(eta1, (2, 2)))
-    eta2 = _readonly(stack(eta2, (2, 2)))
+    eta1 = readonly(stack(eta1, (2, 2)))
+    eta2 = readonly(stack(eta2, (2, 2)))
     coefficients = [stack([c], ()) if isinstance(c, Complexes) else c for c in coefficients]
     terms = tuple(
         StateTerm(c, eta1[..., m1, :], eta2[..., m2, :])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
-    return StateAssembly(label, d, f, terms, _readonly(stack(tensor, (4,))))
+    return StateAssembly(label, d, f, terms, readonly(stack(tensor, (4,))))
 
 
 def reduce_axis_aligned(

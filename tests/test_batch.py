@@ -5,7 +5,9 @@ compare every real and imaginary part by float.hex, so a signed zero or a
 last bit that moves fails them.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -121,6 +123,38 @@ def test_a_batch_refuses_complex_angles_as_a_direction_does(theta, phi):
         Directions(theta, phi)
 
 
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda b: b,
+        lambda b: b[::2],
+        lambda b: b[[1, 0]],
+        lambda b: b[np.array([True, False])],
+        copy.deepcopy,
+        lambda b: pickle.loads(pickle.dumps(b)),
+    ],
+    ids=["whole", "slice", "index-array", "mask", "deepcopy", "pickle"],
+)
+def test_a_batch_refuses_writes_to_its_angles(take):
+    # a batch keeps the rows a kernel makes from its angles, which a write
+    # into them would leave stale
+    batch = Directions([0.3, 1.2], [0.2, 2.0])
+    kernels.xi_half(Z_AXIS, batch)
+    taken = take(batch)
+    for angles in (taken.theta, taken.phi):
+        with pytest.raises(ValueError, match="read-only"):
+            angles[0] = 2.0
+
+
+def test_a_copied_batch_has_the_angles_and_rows_of_the_batch():
+    batch = Directions([0.3, 1.2, 1e-300], [0.2, 2.0, 6.0])
+    want = _bits(kernels.xi_half(Z_AXIS, batch))
+    for copied in (copy.copy(batch), copy.deepcopy(batch), pickle.loads(pickle.dumps(batch))):
+        for part in ("theta", "phi"):
+            assert _bits(getattr(copied, part)) == _bits(getattr(batch, part))
+        assert _bits(kernels.xi_half(Z_AXIS, copied)) == want
+
+
 @pytest.mark.parametrize("first, second", [("c1", "d"), ("d", "c1"), (None, "f"), ("f", None)])
 def test_xi_half(inputs, first, second):
     # None stands for the z axis, a single direction paired with a batch
@@ -213,6 +247,29 @@ def test_singlet_expectation(inputs):
         return expectation.singlet_expectation(points["c1"][k], points["c2"][k])
 
     assert _bits(got) == _bits(_per_point(alone, N))
+
+
+def test_a_batch_read_again_has_the_bits_of_each_point():
+    # fresh batches, so that the first read is the one that keeps their rows
+    rng = np.random.default_rng(5)
+    fresh = dict(a=_directions(rng), c1=_directions(rng), c2=_directions(rng))
+    fresh["values"] = [rng.uniform(-2.0, 2.0, N) for _ in range(4)]
+    fresh["points"] = {name: fresh[name].points() for name in ("a", "c1", "c2")}
+
+    def read(k=None):
+        spec = _spec(fresh, k)
+        out = [kernels.xi_half(Z_AXIS, c) for c in (spec.c1, spec.c2)]
+        out += [kernels.zeta_spin1(M, _label(fresh, 1, M, k).axis) for M in (1, 0, -1)]
+        for s, M in LABELS:
+            label = _label(fresh, s, M, k)
+            out.append(expectation.outcome_probabilities(label, spec.c1, spec.c2))
+            out.append(expectation._oracle_route(label, spec))
+        return out
+
+    alone = [read(k) for k in range(N)]
+    want = [_bits(_per_point(lambda k: alone[k][i], N)) for i in range(len(alone[0]))]
+    for _ in range(2):
+        assert [_bits(got) for got in read()] == want
 
 
 def test_batch_axes_broadcast(inputs):

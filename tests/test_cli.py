@@ -1173,6 +1173,25 @@ class TestExitContract:
         assert code == EXIT_OK
         assert _strip_timestamps(out) == _strip_timestamps(intact)
 
+    def test_a_fault_in_one_verify_run_does_not_outlive_it(self, capsys, monkeypatch):
+        # verify's batches keep their rows (see kernels) and die with their
+        # check, so the rows made under a fault reach no later run
+        argv = ["verify", "--seed", "0"]
+        code, intact = _run(capsys, argv)
+        assert code == EXIT_OK
+        true_entries = kernels_mod._zeta_entries
+
+        def nan_first_entry(M, a):
+            entries = true_entries(M, a)
+            return [math.nan * entries[0], *entries[1:]]  # a point's or a batch's NaN
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_mod, "_zeta_entries", nan_first_entry)
+            assert _run(capsys, argv)[0] == EXIT_VERIFY
+        code, out = _run(capsys, argv)
+        assert code == EXIT_OK
+        assert _strip_timestamps(out) == _strip_timestamps(intact)
+
     @pytest.mark.parametrize("output_format", ["json", "csv"])
     def test_a_nan_residual_fails_its_check_and_prints_as_null(
         self, capsys, monkeypatch, output_format

@@ -21,6 +21,7 @@ from spinpair import (
     xi_half,
     zeta_spin1,
 )
+from spinpair.batch import stack
 from support import compound_labels, directions, draw_direction, four_labels
 
 SQRT_HALF = math.sqrt(0.5)
@@ -197,9 +198,9 @@ class TestEntryCores:
 
 
 class TestKeptRows:
-    """A point Direction keeps the rows of ``xi_half(Z_AXIS, .)`` and of
-    ``zeta_spin1`` from the first read on; what the kernels return does not
-    change with it."""
+    """A direction, point or batch, keeps the rows of ``xi_half(Z_AXIS, .)``
+    and of ``zeta_spin1`` from the first read on; what the kernels return
+    does not change with it."""
 
     def test_every_read_has_the_bits_of_the_formulas(self, rng, monkeypatch):
         ds = _core_directions(rng)
@@ -226,8 +227,10 @@ class TestKeptRows:
         monkeypatch.setattr(kernels_mod, "_zeta_entries", refuse)
         assert got() == want
 
-    def test_a_returned_array_is_a_fresh_one(self):
-        d = Direction(0.7, 2.5)
+    @pytest.mark.parametrize(
+        "d", [Direction(0.7, 2.5), Directions([0.7, 1.2], [2.5, 2.0])], ids=["point", "batch"]
+    )
+    def test_a_returned_array_is_a_fresh_one(self, d):
         for read in (lambda: xi_half(Z_AXIS, d), lambda: zeta_spin1(-1, d)):
             first = read()
             want = first.tobytes()
@@ -242,14 +245,30 @@ class TestKeptRows:
                 zeta_spin1(bad, d)
             zeta_spin1(1, d)
 
-    def test_a_batch_and_the_z_axis_keep_nothing(self):
-        batch = Directions([0.3, 1.2], [0.2, 2.0])
-        before = {obj: dir(obj) for obj in (batch, Z_AXIS)}
-        for f in (batch, Z_AXIS):
-            xi_half(Z_AXIS, f)
-            zeta_spin1(1, f)
-            assemble_state(CompoundLabel(1, 0, Z_AXIS), f, f)
-        assert {obj: dir(obj) for obj in (batch, Z_AXIS)} == before
+    def test_the_z_axis_keeps_nothing(self):
+        # vars, not dir: dir lists a slot or attribute name whether or not it is set
+        xi_half(Z_AXIS, Z_AXIS)
+        for m in (1, 0, -1):
+            zeta_spin1(m, Z_AXIS)
+        assemble_state(CompoundLabel(1, 0, Z_AXIS), Z_AXIS, Z_AXIS)
+        assert set(vars(Z_AXIS)) == {"theta", "phi"}
+
+    def test_a_batch_keeps_its_rows(self, monkeypatch):
+        batch = Directions([0.3, 1.2, 2.9], [0.2, 2.0, 5.5])
+
+        def reads():
+            arrays = [xi_half(Z_AXIS, batch), *(zeta_spin1(m, batch) for m in (1, 0, -1))]
+            arrays.append(stack(kernels_mod._eta_rows(batch), (2, 2)))
+            return [[_bits(point) for point in a.reshape(3, -1).tolist()] for a in arrays]
+
+        first = reads()
+
+        def refuse(*args):
+            raise AssertionError("a kept row was evaluated again")
+
+        monkeypatch.setattr(kernels_mod, "_xi_entries", refuse)
+        monkeypatch.setattr(kernels_mod, "_zeta_entries", refuse)
+        assert reads() == first
 
     def test_a_kept_direction_compares_hashes_prints_and_pickles_as_before(self):
         d, fresh = Direction(0.7, 2.5), Direction(0.7, 2.5)
