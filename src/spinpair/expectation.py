@@ -148,7 +148,7 @@ def _matrix_route(label: CompoundLabel, spec: MeasurementSpec, d, f):
     # which kron(r1, r2) acts as r1 @ Psi @ r2.T; the value is
     # vdot(Psi, r1 @ Psi @ r2.T), on the entries _tensor and the blocks of
     # operator_pair are built from.
-    p00, p01, p10, p11 = _tensor(label, d, f)[0]
+    p00, p01, p10, p11 = _tensor(label, d, f)
     (a00, a01, a10, a11), (b00, b01, b10, b11) = _operator_entries(spec, d, f)
     m00, m01 = a00 * p00 + a01 * p10, a00 * p01 + a01 * p11  # r1 @ Psi
     m10, m11 = a10 * p00 + a11 * p10, a10 * p01 + a11 * p11

@@ -8,22 +8,23 @@ total spin of a coupled pair, ``clebsch_gordan_half_half`` couples two
 spin-1/2 projections, and ``chi`` composes the last two into coupling
 coefficients referred to an arbitrary quantization axis.
 
-All functions are pure; return values are plain numbers or fresh numpy
-arrays.  The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
+All functions are pure; return values are plain numbers or fresh numpy arrays.
+The formulas of ``xi_half`` and ``zeta_spin1`` live in the private
 ``_xi_entries`` and ``_zeta_entries``, which return their entries as a list;
 the public kernels are arrays over those lists, and the matrix route of the
 package (``states._tensor`` and ``operators._r_entries``) reads the entries
 directly, so one point of it builds no array.  What depends on one label or
-direction alone is kept with it from the first read on: a ``CompoundLabel``
-keeps its ``_chi_row``, which ``states._tensor`` reads, and a direction,
-point or batch, keeps the entries of ``xi_half(Z_AXIS, d)`` (``_eta_rows``,
-which ``_tensor`` reads too), that matrix as a read-only array, and the
-read-only arrays of ``zeta_spin1(M, d)`` for all three M.  So each formula
-runs once per label or direction however many pairs or amplitudes read it,
-and the two public kernels return a copy of a kept array.  ``Z_AXIS`` keeps
-nothing.  Every kernel runs unchanged on one point or on a batch (a
-``Directions``, or a label whose axis is one): the entries are then
-Complexes, the arrays have the batch axes first (see ``batch``).
+direction alone is kept with it from the first read on, by ``_keep`` alone: a
+``CompoundLabel`` keeps its ``_chi_row``, which ``states`` reads, and a
+direction, point or batch, keeps the entries of ``xi_half(Z_AXIS, d)``
+(``_eta_rows``, which ``_tensor`` reads too), that matrix as a read-only array,
+whose copies ``assemble_state`` reads, and the read-only arrays of
+``zeta_spin1(M, d)`` for all three M.  So each formula runs once per label or
+direction however many pairs or amplitudes read it, and the two public kernels
+return a copy of a kept array.  ``Z_AXIS`` keeps nothing, which ``_keep`` sees
+to.  Every kernel runs unchanged on one point or on a batch (a ``Directions``,
+or a label whose axis is one): the entries are then Complexes, the arrays have
+the batch axes first (see ``batch``).
 """
 
 from __future__ import annotations
@@ -94,11 +95,7 @@ class CompoundLabel:
         try:
             return self._row
         except AttributeError:
-            # object.__setattr__, as Direction sets its angles; writing to
-            # __dict__ (functools.cached_property) would make every later
-            # attribute read of this label about twice as slow
-            object.__setattr__(self, "_row", _chi_row(self))
-            return self._row
+            return _keep(self, "_row", _chi_row(self))
 
 
 def _xi_entries(initial, final) -> list:
@@ -117,11 +114,14 @@ def _xi_entries(initial, final) -> list:
     return [ci * cf + wsi * sf, -ci * sf + wsi * cf, -si * cf + wci * sf, si * sf + wci * cf]
 
 
-def _keep(d, name: str, value):
-    """``value``, kept on the direction ``d`` as ``name`` unless ``d`` is
-    ``Z_AXIS``, which keeps nothing."""
-    if d is not Z_AXIS:
-        object.__setattr__(d, name, value)
+def _keep(obj, name: str, value):
+    """``value``, kept on the label or direction ``obj`` as ``name`` unless
+    ``obj`` is ``Z_AXIS``, which keeps nothing."""
+    if obj is not Z_AXIS:
+        # object.__setattr__, as Direction sets its angles; writing to
+        # __dict__ (functools.cached_property) would make every later
+        # attribute read of a label about twice as slow
+        object.__setattr__(obj, name, value)
     return value
 
 
@@ -193,14 +193,13 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
     M = +1, 0, -1 form a unitary 3x3 matrix.
     """
-    # Z_AXIS keeps nothing, and _zeta_entries refuses any other M
-    if a is Z_AXIS or M not in (1, 0, -1):
+    if M not in (1, 0, -1):  # which _zeta_entries refuses
         return stack(_zeta_entries(M, a), (3,))
     try:  # a copy of M's row, of the rows ``a`` keeps for M = +1, 0, -1
         rows = a._zeta
     except AttributeError:
         rows = tuple(readonly(stack(_zeta_entries(m, a), (3,))) for m in (1, 0, -1))
-        object.__setattr__(a, "_zeta", rows)
+        _keep(a, "_zeta", rows)
     return rows[(1, 0, -1).index(M)].copy()
 
 
@@ -227,13 +226,14 @@ def clebsch_gordan_half_half(
     Zero whenever m1 + m2 != M.  The nonzero values are 1 for the stretched
     triplet states, 1/sqrt(2) for both orderings feeding (1, 0), and
     +-1/sqrt(2) for the singlet, the minus sign on the (minus, plus) slot.
-    A label outside (s, M) in {(1, 1), (1, 0), (1, -1), (0, 0)} or m1, m2 in
-    {PLUS, MINUS} raises ValueError.
+    Labels compare by value, so 0.0 and 1.0 stand for PLUS and MINUS.  A
+    label outside (s, M) in {(1, 1), (1, 0), (1, -1), (0, 0)} or m1, m2 in
+    {PLUS, MINUS}, an unhashable one too, raises ValueError.
     """
     try:
         return _CG[s, M, m1, m2]
-    except KeyError:
-        if (s, M) not in _CG_ROWS:
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        if (s, M) not in tuple(_CG_ROWS):  # compared by ==, hashing neither
             raise ValueError(f"invalid total-spin labels s={s!r}, M={M!r}") from None
         raise ValueError(f"invalid projection labels m1={m1!r}, m2={m2!r}") from None
 

@@ -11,8 +11,9 @@ major.  ``_tensor`` computes that sum as eta1^T C eta2, C the 2x2 matrix of
 the chi values, on Python complex numbers, or on the Complexes of a batch,
 which round alike on every host (NumPy's SIMD loops may fuse a multiply and
 an add, so the last bit of a NumPy product can depend on the CPU).
-``assemble_state`` packages the sum with its terms as arrays, and the
-matrix route of ``expectation`` reads ``_tensor``'s lists alone.
+``assemble_state`` packages the tensor with its terms, the label's chi row
+and the ``xi_half(Z_AXIS, .)`` matrices the directions keep, and the
+matrix route of ``expectation`` reads ``_tensor``'s list alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .batch import Complexes, readonly, stack
 from .directions import Direction, Z_AXIS
-from .kernels import B_INDEX_ORDER, CompoundLabel, _eta_rows
+from .kernels import B_INDEX_ORDER, CompoundLabel, _eta_rows, xi_half
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,17 +52,17 @@ class StateAssembly:
     tensor: np.ndarray
 
 
-def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, tuple, tuple]:
-    """The tensor of the state (s, M) in the (d, f) basis, with its parts.
+def _tensor(label: CompoundLabel, d, f) -> list:
+    """The tensor of the state (s, M) in the (d, f) basis.
 
-    Returns (tensor, coefficients, eta1, eta2), Python complex numbers or a
-    batch's values: the coefficients are the ``chi`` values over
-    B_INDEX_ORDER (the label's row, kept with the label), and eta1 (eta2)
+    Returns its four components, Python complex numbers or a batch's values,
+    from what the label and the directions keep: the coefficients are the
+    ``chi`` values over B_INDEX_ORDER (the label's row), and eta1 (eta2)
     holds the entries of ``xi_half(Z_AXIS, d)`` (``xi_half(Z_AXIS, f)``) row
-    major, kept with the direction, row m being the eta vector of projection
-    m.  With the coefficients as the 2x2 matrix C (row m1, column m2), the
-    tensor is eta1^T C eta2: first u_m1 = sum over m2 of C[m1][m2] * eta2[m2],
-    then component 2 i + j is
+    major, row m being the eta vector of projection m.  With the
+    coefficients as the 2x2 matrix C (row m1, column m2), the tensor is
+    eta1^T C eta2: first u_m1 = sum over m2 of C[m1][m2] * eta2[m2], then
+    component 2 i + j is
 
         eta1[PLUS][i] * u_PLUS[j] + eta1[MINUS][i] * u_MINUS[j]
 
@@ -69,43 +70,39 @@ def _tensor(label: CompoundLabel, d, f) -> tuple[list, tuple, tuple, tuple]:
     (m1, m2) of chi * eta1[m1][i] * eta2[m2][j] in 28 complex operations
     rather than 48.
     """
-    c0, c1, c2, c3 = coefficients = label._coupling_row
-    eta1 = _eta_rows(d)
-    eta2 = _eta_rows(f)
+    c0, c1, c2, c3 = label._coupling_row
     # a_i, b_i: component i of the plus and the minus row of eta1; p_j, q_j
     # likewise for eta2; u_j, v_j: component j of u_PLUS and u_MINUS.
-    a0, a1, b0, b1 = eta1
-    p0, p1, q0, q1 = eta2
+    a0, a1, b0, b1 = _eta_rows(d)
+    p0, p1, q0, q1 = _eta_rows(f)
     u0, u1 = c0 * p0 + c1 * q0, c0 * p1 + c1 * q1
     v0, v1 = c2 * p0 + c3 * q0, c2 * p1 + c3 * q1
-    tensor = [
+    return [
         0j + a0 * u0 + b0 * v0,
         0j + a0 * u1 + b0 * v1,
         0j + a1 * u0 + b1 * v0,
         0j + a1 * u1 + b1 * v1,
     ]
-    return tensor, coefficients, eta1, eta2
 
 
 def assemble_state(label: CompoundLabel, d: Direction, f: Direction) -> StateAssembly:
     """Build the state (s, M) along ``label.axis`` in the (d, f) product basis.
 
-    The coefficients are exactly the ``chi`` outputs, the per-subsystem
-    vectors exactly the rows of ``xi_half(Z_AXIS, d)`` and
-    ``xi_half(Z_AXIS, f)``; no rescaling happens here.
-    ``terms`` and ``tensor`` are read-only arrays over what ``_tensor``
-    computes.  On a batch the arrays have the batch axes first, and a
-    coefficient that depends on the point is an array over them.
+    The coefficients are exactly the ``chi`` outputs (the label's kept row),
+    the per-subsystem vectors exactly the rows of ``xi_half(Z_AXIS, d)`` and
+    ``xi_half(Z_AXIS, f)``, read-only copies of what the directions keep; no
+    rescaling happens here.  ``tensor`` is a read-only array over what
+    ``_tensor`` computes.  On a batch the arrays have the batch axes first,
+    and a coefficient that depends on the point is an array over them.
     """
-    tensor, coefficients, eta1, eta2 = _tensor(label, d, f)
-    eta1 = readonly(stack(eta1, (2, 2)))
-    eta2 = readonly(stack(eta2, (2, 2)))
-    coefficients = [stack([c], ()) if isinstance(c, Complexes) else c for c in coefficients]
+    eta1 = readonly(xi_half(Z_AXIS, d))
+    eta2 = readonly(xi_half(Z_AXIS, f))
+    coefficients = [stack([c], ()) if isinstance(c, Complexes) else c for c in label._coupling_row]
     terms = tuple(
         StateTerm(c, eta1[..., m1, :], eta2[..., m2, :])
         for c, (m1, m2) in zip(coefficients, B_INDEX_ORDER)
     )
-    return StateAssembly(label, d, f, terms, readonly(stack(tensor, (4,))))
+    return StateAssembly(label, d, f, terms, readonly(stack(_tensor(label, d, f), (4,))))
 
 
 def reduce_axis_aligned(

@@ -252,6 +252,10 @@ class TestKeptRows:
             zeta_spin1(m, Z_AXIS)
         assemble_state(CompoundLabel(1, 0, Z_AXIS), Z_AXIS, Z_AXIS)
         assert set(vars(Z_AXIS)) == {"theta", "phi"}
+        # and each read evaluates the formula again, with its bits
+        for m in (1, 0, -1):
+            want = _bits(kernels_mod._zeta_entries(m, Z_AXIS))
+            assert _bits(zeta_spin1(m, Z_AXIS).tolist()) == want
 
     def test_a_batch_keeps_its_rows(self, monkeypatch):
         batch = Directions([0.3, 1.2, 2.9], [0.2, 2.0, 5.5])
@@ -290,6 +294,7 @@ class TestClebschGordan:
             (1, -1, MINUS, MINUS, 1.0),
             (0, 0, PLUS, MINUS, SQRT_HALF),
             (0, 0, MINUS, PLUS, -SQRT_HALF),
+            (1, 0, 0.0, 1.0, SQRT_HALF),  # labels compare by value
         ],
     )
     def test_nonzero_entries(self, s, M, m1, m2, want):
@@ -322,17 +327,23 @@ class TestClebschGordan:
         )
         assert np.max(np.abs(t @ t.T - np.eye(4))) < 1e-15
 
-    @pytest.mark.parametrize("s,M", [(2, 0), (1, 2), (0, 1), (-1, 0)])
+    @pytest.mark.parametrize("s,M", [(2, 0), (1, 2), (0, 1), (-1, 0), ([1], 0), (1, [0])])
     def test_rejects_bad_labels(self, s, M):
         with pytest.raises(ValueError):
             clebsch_gordan_half_half(s, M, PLUS, MINUS)
 
-    # 2 * m1 + m2 indexes a row of four from the end for these, so they once
-    # answered 1/sqrt(2), 0 and 0
-    @pytest.mark.parametrize("s,M,m1,m2", [(1, 0, -1, 0), (0, 0, -1, 1), (1, 1, 0, -1)])
+    # 2 * m1 + m2 indexes a row of four from the end for the first three, so
+    # they once answered 1/sqrt(2), 0 and 0; the last three are unhashable
+    @pytest.mark.parametrize(
+        "s,M,m1,m2",
+        [(1, 0, -1, 0), (0, 0, -1, 1), (1, 1, 0, -1), (1, 0, [0], PLUS), (0, 0, [0], PLUS),
+         (1, -1, MINUS, [1])],
+    )
     def test_rejects_projections_other_than_plus_and_minus(self, s, M, m1, m2):
         with pytest.raises(ValueError, match="invalid projection labels"):
             clebsch_gordan_half_half(s, M, m1, m2)
+        with pytest.raises(ValueError, match="invalid projection labels"):
+            chi(CompoundLabel(s, M, Z_AXIS), m1, m2)
 
 
 def _chi_quadruple(label):

@@ -9,12 +9,15 @@ from spinpair import (
     B_INDEX_ORDER,
     CompoundLabel,
     Direction,
+    Directions,
     Z_AXIS,
     assemble_state,
     chi,
     gram_matrix,
     reduce_axis_aligned,
+    xi_half,
 )
+from spinpair.batch import Complexes, stack
 from support import compound_labels, directions, draw_direction, four_labels
 
 SQRT_HALF = math.sqrt(0.5)
@@ -91,6 +94,71 @@ class TestAssembleState:
         asm = assemble_state(CompoundLabel(0, 0, Z_AXIS), Z_AXIS, Z_AXIS)
         with pytest.raises(ValueError):
             asm.tensor[0] = 1.0
+
+
+def _hex(values) -> list:
+    """float.hex of each real and imaginary part; a batch's values as an array."""
+    if isinstance(values, Complexes):
+        values = stack([values], ())
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(values).tolist()]
+
+
+# Fresh objects for each test, so no test reads rows another test kept: a
+# point, the z axis (which keeps nothing) and a batch whose label axis is a
+# batch too, so that its coefficients depend on the point.
+BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (
+            CompoundLabel(1, 0, Direction(0.4, 1.0)), Direction(0.7, 2.5), Direction(1.1, 0.3)
+        ),
+        lambda: (CompoundLabel(1, 1, Z_AXIS), Z_AXIS, Z_AXIS),
+        lambda: (
+            CompoundLabel(1, -1, Directions([0.4, 2.0, 0.0], [1.0, 3.0, 0.0])),
+            Directions([0.7, 1.2, math.pi], [2.5, 2.0, 5.5]),
+            Directions([1.1, 0.0, 1e-300], [0.3, 4.0, 1.0]),
+        ),
+    ],
+    ids=["point", "z axis", "batch"],
+)
+
+
+class TestWhatAStateIsBuiltFrom:
+    """The terms of a state are the chi values and the rows of
+    ``xi_half(Z_AXIS, .)``, on arrays that nothing outside can write."""
+
+    @BUILDS
+    def test_every_eta_is_read_only(self, build):
+        for term in assemble_state(*build()).terms:
+            for eta in (term.eta1, term.eta2):
+                with pytest.raises(ValueError):
+                    eta[...] = 0.0
+
+    @BUILDS
+    def test_each_term_is_a_chi_value_and_two_xi_half_rows(self, build):
+        label, d, f = build()
+        rows1, rows2 = xi_half(Z_AXIS, d), xi_half(Z_AXIS, f)
+        for term, (m1, m2) in zip(assemble_state(label, d, f).terms, B_INDEX_ORDER):
+            assert _hex(term.eta1) == _hex(rows1[..., m1, :])
+            assert _hex(term.eta2) == _hex(rows2[..., m2, :])
+            assert _hex(term.coefficient) == _hex(chi(label, m1, m2))
+
+    @BUILDS
+    def test_writing_a_returned_xi_half_array_leaves_a_later_state_as_it_was(self, build):
+        label, d, f = build()
+        earlier = [xi_half(Z_AXIS, d), xi_half(Z_AXIS, f)]  # before any state is built
+
+        def bits(asm):
+            return [_hex(asm.tensor)] + [
+                (_hex(t.coefficient), _hex(t.eta1), _hex(t.eta2)) for t in asm.terms
+            ]
+
+        first = assemble_state(label, d, f)
+        want = bits(first)
+        for a in earlier + [xi_half(Z_AXIS, d), xi_half(Z_AXIS, f)]:
+            a[...] = math.nan
+        assert bits(assemble_state(label, d, f)) == want
+        assert bits(first) == want
 
 
 class TestAxisAlignedReduction:
