@@ -29,7 +29,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from typing import Any, Callable
@@ -295,23 +295,28 @@ def _rows(command: str) -> list[tuple]:
 
 @lru_cache(maxsize=None)
 def _build_parser(command: str | None) -> _Parser:
-    """Only ``command``'s subcommand, with its flags; for None, every
-    subcommand without flags, all that top-level help and errors show.
+    """``command``'s own parser, with its flags, which reads the argv after
+    the subcommand's name; for None, the top-level parser with every
+    subcommand but no flags, all that top-level help and errors show.
 
     Built on first use, once per process: ``parse_args`` keeps nothing from
     one call to the next (each gets a fresh Namespace, and --tol appends to
     a list it makes itself, its default being None).
     """
+    if command:
+        # the prog and settings argparse gives a subcommand's parser
+        parser = _Parser(prog=f"spinpair {command}")
+        for flag, help_text, _, _, *kwargs in _rows(command):
+            parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
+        return parser
     parser = _Parser(
         prog="spinpair",
         description="States, observables and correlations of a coupled spin-1/2 pair.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command else _SUBCOMMANDS:
-        sub_parser = sub.add_parser(name)
-        for flag, help_text, _, _, *kwargs in _rows(name) if command else ():
-            sub_parser.add_argument(flag, help=help_text, **(kwargs[0] if kwargs else {}))
+    for name in _SUBCOMMANDS:
+        sub.add_parser(name)
     return parser
 
 
@@ -337,9 +342,10 @@ def parse_config(argv=None) -> RunConfig:
     each value in --help order, then the checks across flags.
     """
     argv = sys.argv[1:] if argv is None else argv
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = vars(_build_parser(named).parse_args(argv))
-    command = args["command"]
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        _build_parser(None).parse_args(argv)  # exits with help or version, or raises
+    command = argv[0]
+    args = vars(_build_parser(command).parse_args(argv[1:]))  # the one argparse pass
     file_cfg = _load_config_file(args["config"]) if args["config"] else {}
     unknown = [key for key in file_cfg if key not in _CONFIG_KEYS]
     if unknown:
@@ -475,8 +481,9 @@ def _echo(config: RunConfig) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for name, value in config.inputs.items():
         if type(value) in _PAIR_FORMS:
-            keys = _PAIR_FORMS[type(value)][0]
-            out.update(zip((f"{name}_{key}" for key in keys), astuple(value)))
+            # the two fields as they are: astuple would deep-copy them
+            keys, fields = _PAIR_FORMS[type(value)][0], type(value).__dataclass_fields__
+            out.update((f"{name}_{key}", getattr(value, f)) for key, f in zip(keys, fields))
         elif name not in _UNECHOED:
             out[name] = value
     return out

@@ -35,10 +35,11 @@ class Direction:
     Out-of-range input is reduced using the spherical identifications
     (theta + 2*pi, phi) ~ (theta, phi) and (-theta, phi) ~ (theta, phi + pi),
     so after construction theta lies in [0, pi] and phi in [0, 2*pi), and
-    neither is -0.0.  The reduction is idempotent.  At the poles the azimuth
-    is kept as given, as a phase convention: along (0, phi) every pair state
-    (s, M) is exp(-1j*M*phi) times the state along (0, 0), so directions that
-    differ only there compare unequal on purpose.  Once a kernel reads them,
+    neither is -0.0; angles already in range are taken as they are, so the
+    reduction is idempotent.  At the poles the azimuth is kept as given, as a
+    phase convention: along (0, phi) every pair state (s, M) is
+    exp(-1j*M*phi) times the state along (0, 0), so directions that differ
+    only there compare unequal on purpose.  Once a kernel reads them,
     a direction other than ``Z_AXIS`` keeps its rotation rows (see
     ``kernels``), which ==, hash and repr ignore as they are not fields.
     ``Z_AXIS`` keeps nothing, so no run can leave rows behind on it.
@@ -53,11 +54,13 @@ class Direction:
     def __post_init__(self) -> None:
         theta = float(self.theta)
         phi = float(self.phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("direction angles must be finite")
-        theta, phi = _reduce(theta, phi, math.fmod, lambda c, a, b: a if c else b)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        if not (0.0 <= theta <= math.pi and 0.0 <= phi < TWO_PI):  # NaN is not in range
+            if not (math.isfinite(theta) and math.isfinite(phi)):
+                raise ValueError("direction angles must be finite")
+            theta, phi = _reduce(theta, phi, math.fmod, lambda c, a, b: a if c else b)
+        # in-range angles, which _reduce would give back, with -0.0 made 0.0
+        object.__setattr__(self, "theta", theta + 0.0)
+        object.__setattr__(self, "phi", phi + 0.0)
 
 
 Z_AXIS = Direction(0.0, 0.0)
@@ -67,7 +70,8 @@ class Directions:
     """A batch of directions: float64 arrays of theta and of phi, one shape.
 
     Each (theta, phi) pair is reduced exactly as Direction reduces it, so
-    point k of a batch has the angles of ``Direction(theta[k], phi[k])``.
+    point k of a batch has the angles of ``Direction(theta[k], phi[k])``;
+    a batch whose angles are all in range takes them as they are.
     The formula bodies run on a batch with NumPy's cos and sin, which give
     the bits of ``math.cos`` and ``math.sin``, and with Complexes values.
     Like a point, a batch keeps its rotation rows from a kernel's first read
@@ -85,9 +89,12 @@ class Directions:
         if any(a.dtype.kind == "c" for a in arrays):  # float(), as Direction calls it, refuses them
             raise TypeError("direction angles must be real")
         theta, phi = np.broadcast_arrays(*(a.astype(float, copy=False) for a in arrays))
-        if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
-            raise ValueError("direction angles must be finite")
-        self.theta, self.phi = map(readonly, _reduce(theta, phi, np.fmod, np.where))
+        if not ((0.0 <= theta) & (theta <= math.pi) & (0.0 <= phi) & (phi < TWO_PI)).all():
+            if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+                raise ValueError("direction angles must be finite")
+            theta, phi = _reduce(theta, phi, np.fmod, np.where)
+        # as a point does; + 0.0 also makes arrays of the batch's own to freeze
+        self.theta, self.phi = readonly(theta + 0.0), readonly(phi + 0.0)
 
     def __getitem__(self, index) -> Directions:
         """The directions at a NumPy ``index`` into the batch axes, whose

@@ -16,6 +16,20 @@ raw_angles = st.floats(
     min_value=-ANGLE_SPAN, max_value=ANGLE_SPAN, allow_nan=False, allow_infinity=False
 )
 directions = st.builds(Direction, raw_angles, raw_angles)
+# Angles a direction takes as they are, -0.0 included, and the edges of that
+# range: the bounds, the first values past them, and the tiniest angle.
+theta_in_range = st.floats(min_value=-0.0, max_value=math.pi)
+phi_in_range = st.floats(min_value=-0.0, max_value=2.0 * math.pi, exclude_max=True)
+EDGE_ANGLES = [
+    0.0,
+    -0.0,
+    math.nextafter(0.0, -1.0),
+    math.pi,
+    math.nextafter(math.pi, 4.0),
+    math.nextafter(2.0 * math.pi, 0.0),
+    2.0 * math.pi,
+    1e-300,
+]
 
 label_numbers = st.sampled_from(((1, 1), (1, 0), (1, -1), (0, 0)))
 compound_labels = st.builds(

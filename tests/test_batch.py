@@ -11,13 +11,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinpair import expectation, kernels, operators, states
 from spinpair.batch import stack
-from spinpair.directions import Direction, Directions, Z_AXIS
+from spinpair.directions import Direction, Directions, Z_AXIS, _reduce
 from spinpair.kernels import B_INDEX_ORDER, CompoundLabel
 from spinpair.operators import MeasurementSpec, OutcomeValues
-from support import inject_blocks
+from support import EDGE_ANGLES, inject_blocks, phi_in_range, theta_in_range
 
 LABELS = [(1, 1), (1, 0), (1, -1), (0, 0)]
 # Raw angles at and next to the places where the reduction or a formula
@@ -109,9 +111,45 @@ def test_an_indexed_batch_has_the_angles_of_a_batch_built_from_them(index):
         assert _bits(getattr(got, part)) == _bits(getattr(want, part))
 
 
-def test_a_batch_refuses_an_angle_a_direction_refuses():
-    with pytest.raises(ValueError, match="finite"):
-        Directions(np.array([0.0, math.nan]), np.zeros(2))
+def _assert_reduced(theta, phi):
+    """A new batch on these angles holds the bits of the full reduction, no
+    -0.0, in read-only arrays of its own, and keeps no rows."""
+    theta, phi = np.array(theta, dtype=float), np.array(phi, dtype=float)
+    batch = Directions(theta, phi)
+    want = _reduce(theta, phi, np.fmod, np.where)
+    for got, reduced, given_ in zip((batch.theta, batch.phi), want, (theta, phi)):
+        assert _bits(got) == _bits(reduced)
+        assert not np.signbit(got).any()
+        assert not got.flags.writeable and given_.flags.writeable
+    assert not any(hasattr(batch, name) for name in ("_eta", "_xi", "_zeta"))
+
+
+@given(st.lists(st.tuples(theta_in_range, phi_in_range), max_size=8))
+def test_in_range_angles_are_taken_with_the_bits_of_the_reduction(points):
+    _assert_reduced([theta for theta, _ in points], [phi for _, phi in points])
+
+
+@pytest.mark.parametrize("kind", ["in-range", "edges", "mixed"])
+def test_a_batch_on_edge_angles_has_the_bits_of_the_reduction(kind):
+    thetas = [x for x in EDGE_ANGLES if 0.0 <= x <= math.pi]
+    # in range, a batch taken as it is; else phi leaves the range at a few points
+    in_range = [x for x in EDGE_ANGLES if 0.0 <= x < 2.0 * math.pi]
+    phis = in_range if kind == "in-range" else EDGE_ANGLES
+    theta, phi = np.meshgrid(thetas, phis)
+    if kind == "mixed":  # and theta at every other point
+        theta.ravel()[::2] -= 3.0
+    _assert_reduced(theta, phi)
+    _assert_reduced(phi, theta)  # and with the angles swapped
+    for t, p in zip(theta.ravel().tolist(), phi.ravel().tolist()):  # and point by point
+        _assert_reduced([t], [p])
+        _assert_reduced([p], [t])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_batch_refuses_an_angle_a_direction_refuses(bad):
+    for theta, phi in (([0.3, bad], [0.2, 0.5]), ([0.3, 0.4], [bad, 0.5])):
+        with pytest.raises(ValueError, match="direction angles must be finite"):
+            Directions(np.array(theta), np.array(phi))
 
 
 @pytest.mark.parametrize("theta, phi", [(np.array([1j]), 0.0), (0.0, [0.5, 1 + 0j])])

@@ -423,6 +423,53 @@ class TestParsing:
         # the blocks alone hold no product of values
         assert main(["operator", "--c1", "0,0", "--c2", "1,0", "--r1", r1, "--r2", r2]) == EXIT_OK
 
+    # Tails whose handling turns on how argv reaches the subcommand's parser,
+    # with the messages argparse gives them.  "--=x" is ambiguous among the
+    # flags of the one parser that reads it, which is expect's own.
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("--version", "unrecognized arguments: --version"),
+            ("extra", "unrecognized arguments: extra"),
+            ("-- extra", "unrecognized arguments: -- extra"),
+            ("--", "unrecognized arguments: --"),
+            ("--se -3", "--seed: must be non-negative"),
+            ("--se", "argument --seed: expected one argument"),
+            ("--grid", "argument --grid: expected one argument"),
+            ("--c 1,1", "ambiguous option: --c could match --config, --c1, --c2"),
+            ("--version=3", "unrecognized arguments: --version=3"),
+            ("-s 1", "unrecognized arguments: -s 1"),
+            (
+                "--=x",
+                "ambiguous option: --=x could match --help, --config, --format, --seed,"
+                " --s, --M, --a, --d, --f, --c1, --c2, --r1, --r2, --grid",
+            ),
+        ],
+    )
+    def test_usage_errors_of_a_subcommand_tail(self, capsys, tail, message):
+        argv = "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2".split() + tail.split()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_version_after_any_subcommand_is_an_unrecognized_argument(self, capsys):
+        for command in _COMMANDS:
+            assert main(_argv_without(command, None) + ["--version"]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error: unrecognized arguments: --version\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--s 1 --M 0 --c1 -1,2 --c2 1.2,2 --se 3",
+            "--s 1 --M 0 --c1=-1,2 --c2 1.2,2 --seed 3",
+            "--s=1 --M=0 --c1 -1,2 --c2=1.2,2 --se=3",
+        ],
+    )
+    def test_abbreviations_and_negative_number_tokens_parse(self, argv):
+        cfg = parse_config(["expect"] + argv.split())
+        assert (cfg.seed, cfg.inputs["c1"], cfg.inputs["c2"]) == (
+            3, Direction(-1.0, 2.0), Direction(1.2, 2.0)
+        )
+
     def test_verify_help_lists_every_check(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")
         with pytest.raises(SystemExit):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from spinpair import Direction, Z_AXIS, angle_between, unit_vector
-from support import directions, raw_angles
+from spinpair.directions import _reduce
+from support import EDGE_ANGLES, directions, phi_in_range, raw_angles, theta_in_range
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,10 +57,28 @@ class TestCanonicalization:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction angles must be finite"):
             Direction(bad, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction angles must be finite"):
             Direction(0.0, bad)
+
+
+def _assert_reduced(d, theta, phi):
+    # in range or not, a direction holds the bits of the full reduction
+    reduced = _reduce(theta, phi, math.fmod, lambda c, a, b: a if c else b)
+    assert (d.theta.hex(), d.phi.hex()) == tuple(x.hex() for x in reduced)
+    assert math.copysign(1.0, d.theta) == math.copysign(1.0, d.phi) == 1.0
+
+
+class TestInRangeAngles:
+    @given(theta_in_range, phi_in_range)
+    def test_are_taken_with_the_bits_of_the_reduction(self, theta, phi):
+        _assert_reduced(Direction(theta, phi), theta, phi)
+
+    @pytest.mark.parametrize("phi", EDGE_ANGLES)
+    @pytest.mark.parametrize("theta", EDGE_ANGLES)
+    def test_edges_of_the_range(self, theta, phi):
+        _assert_reduced(Direction(theta, phi), theta, phi)
 
 
 class TestAngleBetween:
