@@ -616,13 +616,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed RunConfig, writing records to stdout."""
-    records, code = _SUBCOMMANDS[config.command][0](config)
-    _write(records, config)
-    return code
-
-
 def _write(records, config: RunConfig) -> None:
     """Stamp every record with the package version, the run's seed and one
     timestamp, and emit them to stdout; once the reader has gone, write
@@ -652,13 +645,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return run(config)
+        records, code = _SUBCOMMANDS[config.command][0](config)
     except InternalConsistencyError as exc:
         record = {"command": config.command, "error": "internal-consistency", "detail": str(exc)}
         _write([record], config)
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def console_main() -> None:
-    raise SystemExit(main())
+    _write(records, config)
+    return code

@@ -1377,6 +1377,31 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert "checks passed" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("expect --s 0 --M 0 --c1 0,0 --c2 60deg,0", EXIT_OK),
+            ("expect --s 0", EXIT_USAGE),
+            ("verify --seed 1 --tol kernel_unitarity=1e-30", EXIT_VERIFY),
+        ],
+        ids=["ok", "usage", "verify"],
+    )
+    def test_the_console_script_exits_with_what_main_returns(self, capsys, argv, code):
+        # the wrapper an installer writes for [project.scripts]: sys.exit(entry())
+        pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+        module, attr = re.search(r'^spinpair = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv.split()],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert main(argv.split()) == code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stderr) == (code, captured.err)
+        assert _strip_timestamps(proc.stdout) == _strip_timestamps(captured.out)
+
     def test_usage_error_status(self):
         proc = subprocess.run(
             [sys.executable, "-m", "spinpair", "expect", "--s", "0"],
