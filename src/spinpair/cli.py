@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -76,7 +78,8 @@ class _Parser(argparse.ArgumentParser):
         # A token that starts "-" then a digit, or "-." then a digit, is a
         # value, as from Python 3.13 on; earlier versions take only -N and
         # -N.N, so "--c1 -0.5,0" and "--start -1e-3" lacked their argument.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # So is "-inf" or "-nan", in any case, which float() reads too.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
@@ -408,62 +411,126 @@ def _json_default(value):
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
+_json_encode = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
+
+# csv.writer's writerow returns what its file's write returns: here, the row.
+_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as a cell of a CSV row, quoted as csv.writer quotes it.  It
+    writes the row with a second, empty cell: alone, an empty text would be
+    a row of one empty cell, which csv.writer writes as ""."""
+    return _csv_row((text, ""))[:-2]
+
+
 # The CSV text of a scalar cell by its exact type; any other scalar prints as
-# str(value).
+# str(value), quoted where needed.  These types are immutable, so a field
+# that holds the very object it held in the record before keeps its text.
 _CELL_TEXT = {
     float: float.__repr__,
     int: int.__repr__,
-    str: str,
+    str: _csv_cell,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "",
 }
 
+# The last value of a field whose next value must be formatted.
+_UNSET = object()
 
-def _flatten(record: dict[str, Any]) -> tuple[list[str], list[str]]:
-    """CSV columns and cells: a list over indexed columns, a list of lists as
-    <key>_<i><j>, complex numbers over _re/_im."""
-    keys: list[str] = []
+
+def _csv_columns(key: str, value) -> tuple[list[str], list[str]]:
+    """A field's CSV columns and cells: a list over indexed columns, a list of
+    lists as <key>_<i><j>, complex numbers over _re/_im."""
+    if not isinstance(value, list):
+        items = [(key, value)]
+    elif value and isinstance(value[0], list):
+        items = [(f"{key}_{i}{j}", v) for i, row in enumerate(value) for j, v in enumerate(row)]
+    else:
+        items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
+    names: list[str] = []
     cells: list[str] = []
-    for key, value in record.items():
-        text = _CELL_TEXT.get(type(value))
-        if text is not None:  # most fields: one plain scalar
-            keys.append(key)
-            cells.append(text(value))
-            continue
-        if not isinstance(value, list):
-            items = [(key, value)]
-        elif value and isinstance(value[0], list):
-            items = [
-                (f"{key}_{i}{j}", v) for i, row in enumerate(value) for j, v in enumerate(row)
-            ]
+    for name, v in items:
+        if isinstance(v, complex):
+            names += (f"{name}_re", f"{name}_im")
+            cells += (repr(v.real), repr(v.imag))
         else:
-            items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
-        for key_k, v in items:
-            if isinstance(v, complex):
-                keys += (f"{key_k}_re", f"{key_k}_im")
-                cells += (repr(v.real), repr(v.imag))
+            names.append(name)
+            text = _CELL_TEXT.get(type(v))
+            cells.append(text(v) if text else _csv_cell(str(v)))
+    return names, cells
+
+
+def _emit_json(records, out) -> None:
+    keys = parts = None
+    for record in records:
+        if keys != tuple(record):  # nothing to reuse: the encoder writes it whole
+            keys, parts = tuple(record), None
+            out.write(_json_encode(record) + "\n")
+            continue
+        if parts is None:  # plan the line once a record repeats the keys
+            parts = ["{"]
+            for i, key in enumerate(keys):
+                parts += (("," if i else "") + encode_basestring_ascii(key) + ":", "")
+            parts.append("}\n")
+            slots, kept = range(2, len(parts), 2), [_UNSET] * len(parts)
+        for slot, value in zip(slots, record.values()):
+            if value is kept[slot]:
+                continue
+            if type(value) is float and math.isfinite(value):
+                parts[slot] = float.__repr__(value)
             else:
-                keys.append(key_k)
-                cells.append(_CELL_TEXT.get(type(v), str)(v))
-    return keys, cells
+                parts[slot] = _json_encode(value)
+            kept[slot] = value if type(value) in _CELL_TEXT else _UNSET
+        out.write("".join(parts))
+
+
+def _emit_csv(records, out) -> None:
+    header = keys = None
+    for record in records:
+        reshaped = keys != tuple(record)
+        if reshaped:  # plan the row: per field its columns, a scalar's until shown otherwise
+            keys = tuple(record)
+            columns, scalar = [[key] for key in keys], [True] * len(keys)
+            kept, texts = [_UNSET] * len(keys), [""] * len(keys)
+        for field, value in enumerate(record.values()):
+            if value is kept[field]:
+                continue
+            text = _CELL_TEXT.get(type(value))
+            if text is not None and scalar[field]:
+                texts[field] = "," + text(value)
+                kept[field] = value
+                continue
+            names, cells = _csv_columns(keys[field], value)
+            texts[field] = "," + ",".join(cells) if cells else ""
+            kept[field] = value if text is not None else _UNSET
+            if names != columns[field]:
+                columns[field], scalar[field] = names, names == [keys[field]]
+                reshaped = True
+        if reshaped:
+            names = [name for field_names in columns for name in field_names]
+            if header is None:
+                header = names
+                out.write(_csv_row(header))
+            elif names != header:
+                raise ValueError("records in one CSV stream must share a schema")
+        line = "".join(texts)[1:]
+        # an empty line is a row of at most one cell, which csv.writer spells
+        out.write(line + "\n" if line else _csv_row([""] * len(header)))
 
 
 def emit_records(records, output_format: str, out) -> None:
-    if output_format == "json":
-        encode = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
-        for record in records:
-            out.write(encode(record) + "\n")
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    header = None
-    for record in records:
-        keys, cells = _flatten(record)
-        if header is None:
-            header = keys
-            writer.writerow(header)
-        elif keys != header:
-            raise ValueError("records in one CSV stream must share a schema")
-        writer.writerow(cells)
+    """Write ``records``, dicts with str keys, to ``out`` as JSON Lines or as
+    CSV under one header row, in the bytes of encoding each record on its own.
+
+    A stream is planned once per key order: per field its JSON key or CSV
+    columns, and its last value with that value's text.  A field formats its
+    value only when it does not hold the very object, of an immutable type,
+    that it held in the record before, so a scan formats the input echo that
+    every record repeats once.  A JSON record with nothing to reuse, the first
+    of its key order, goes through the encoder whole.
+    """
+    (_emit_json if output_format == "json" else _emit_csv)(records, out)
 
 
 # ---------------------------------------------------------------------------

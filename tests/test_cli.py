@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import os
 import pathlib
 import platform
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinpair.cli as cli_mod
 import spinpair.kernels as kernels_mod
@@ -424,31 +428,42 @@ class TestParsing:
         assert main(["operator", "--c1", "0,0", "--c2", "1,0", "--r1", r1, "--r2", r2]) == EXIT_OK
 
     # Tails whose handling turns on how argv reaches the subcommand's parser,
-    # with the messages argparse gives them.  "--=x" is ambiguous among the
+    # with the messages argparse gives them, or the value's own message when
+    # argparse takes the token as a value.  "--=x" is ambiguous among the
     # flags of the one parser that reads it, which is expect's own.
     @pytest.mark.parametrize(
-        "tail, message",
+        "command, tail, message",
         [
-            ("--version", "unrecognized arguments: --version"),
-            ("extra", "unrecognized arguments: extra"),
-            ("-- extra", "unrecognized arguments: -- extra"),
-            ("--", "unrecognized arguments: --"),
-            ("--se -3", "--seed: must be non-negative"),
-            ("--se", "argument --seed: expected one argument"),
-            ("--grid", "argument --grid: expected one argument"),
-            ("--c 1,1", "ambiguous option: --c could match --config, --c1, --c2"),
-            ("--version=3", "unrecognized arguments: --version=3"),
-            ("-s 1", "unrecognized arguments: -s 1"),
+            ("expect", "--version", "unrecognized arguments: --version"),
+            ("expect", "extra", "unrecognized arguments: extra"),
+            ("expect", "-- extra", "unrecognized arguments: -- extra"),
+            ("expect", "--", "unrecognized arguments: --"),
+            ("expect", "--se -3", "--seed: must be non-negative"),
+            ("expect", "--se", "argument --seed: expected one argument"),
+            ("expect", "--grid", "argument --grid: expected one argument"),
+            ("expect", "--c 1,1", "ambiguous option: --c could match --config, --c1, --c2"),
+            ("expect", "--version=3", "unrecognized arguments: --version=3"),
+            ("expect", "-s 1", "unrecognized arguments: -s 1"),
             (
+                "expect",
                 "--=x",
                 "ambiguous option: --=x could match --help, --config, --format, --seed,"
                 " --s, --M, --a, --d, --f, --c1, --c2, --r1, --r2, --grid",
             ),
+            # "-inf" and "-nan" are values, in any case, as "inf" and "nan" are
+            ("expect", "--c2 -inf,0", "--c2: direction angles must be finite"),
+            ("expect", "--c2 -NaN,0", "--c2: direction angles must be finite"),
+            ("expect", "--r1 -inf,1", "--r1: r_plus must be finite, got -inf"),
+            ("scan", "--start -inf", "--start: must be finite, got -inf"),
+            ("scan", "--stop -Infinity", "--stop: must be finite, got -inf"),
         ],
     )
-    def test_usage_errors_of_a_subcommand_tail(self, capsys, tail, message):
-        argv = "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2".split() + tail.split()
-        assert main(argv) == EXIT_USAGE
+    def test_usage_errors_of_a_subcommand_tail(self, capsys, command, tail, message):
+        head = {
+            "expect": "expect --s 1 --M 0 --c1 0.3,0.2 --c2 1.2,2",
+            "scan": _SCAN_C2 + " --start 0 --stop 1 --steps 3",
+        }[command]
+        assert main(head.split() + tail.split()) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_version_after_any_subcommand_is_an_unrecognized_argument(self, capsys):
@@ -993,6 +1008,13 @@ def _json_cells(record, complex_keys):
     return cells
 
 
+# A 9-step scan of each param: where the swept pair sits in the echo differs.
+_SCANS_OF_EACH_PARAM = [
+    (f"scan --s 1 --M 1 {_SCAN_INPUTS} --param {param} --start -2 --stop 5 --steps 9", ())
+    for param in cli_mod._SWEEP_PARAMS
+]
+
+
 @pytest.mark.parametrize(
     "argv, complex_keys",
     [
@@ -1000,8 +1022,14 @@ def _json_cells(record, complex_keys):
         ("state --s 1 --M -1 --a 0.4,1.0 --d 0.7,2.5 --f 1.1,0.3", ("coefficients", "tensor")),
         ("operator --d 0.7,2.5 --f 1.1,0.3 --c1 0.3,0.2 --c2 1.2,2.0 --r1 2,-1", ("r1", "r2")),
         ("probabilities --s 1 --M 0 --a 0.4,1.0 --c1 0.3,0.2 --c2 1.2,2.0", ()),
+        (f"expect --s 0 --M 0 {_SCAN_INPUTS} --grid 3", ()),
+        ("verify --seed 0", ()),
+        *_SCANS_OF_EACH_PARAM,
     ],
-    ids=["scan", "state", "operator", "probabilities"],
+    ids=[
+        "scan", "state", "operator", "probabilities", "expect-grid", "verify",
+        *(f"scan-{param}" for param in cli_mod._SWEEP_PARAMS),
+    ],
 )
 def test_csv_and_json_agree_cell_for_cell(capsys, argv, complex_keys):
     _, json_out = _run(capsys, argv.split())
@@ -1022,6 +1050,173 @@ def test_csv_and_json_agree_cell_for_cell(capsys, argv, complex_keys):
 def test_a_csv_stream_with_a_changed_schema_is_refused(second):
     with pytest.raises(ValueError, match="share a schema"):
         emit_records([{"a": 1.0, "b": 2}, second], "csv", io.StringIO())
+
+
+# The encoders emit_records replaced, one record at a time: the reference for
+# its bytes.
+
+
+def _reference_json(records, out):
+    def default(value):
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+    encode = json.JSONEncoder(separators=(",", ":"), default=default).encode
+    for record in records:
+        out.write(encode(record) + "\n")
+
+
+_REFERENCE_CELL_TEXT = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "",
+}
+
+
+def _reference_flatten(record):
+    keys, cells = [], []
+    for key, value in record.items():
+        text = _REFERENCE_CELL_TEXT.get(type(value))
+        if text is not None:
+            keys.append(key)
+            cells.append(text(value))
+            continue
+        if not isinstance(value, list):
+            items = [(key, value)]
+        elif value and isinstance(value[0], list):
+            items = [
+                (f"{key}_{i}{j}", v) for i, row in enumerate(value) for j, v in enumerate(row)
+            ]
+        else:
+            items = [(f"{key}_{i}", v) for i, v in enumerate(value)]
+        for key_k, v in items:
+            if isinstance(v, complex):
+                keys += (f"{key_k}_re", f"{key_k}_im")
+                cells += (repr(v.real), repr(v.imag))
+            else:
+                keys.append(key_k)
+                cells.append(_REFERENCE_CELL_TEXT.get(type(v), str)(v))
+    return keys, cells
+
+
+def _reference_csv(records, out):
+    writer = csv.writer(out, lineterminator="\n")
+    header = None
+    for record in records:
+        keys, cells = _reference_flatten(record)
+        if header is None:
+            header = keys
+            writer.writerow(header)
+        elif keys != header:
+            raise ValueError("records in one CSV stream must share a schema")
+        writer.writerow(cells)
+
+
+# Strings a CSV cell must quote, or must not: commas, quotes, line breaks,
+# leading spaces, nothing at all; and a character JSON escapes.
+_CELL_STRINGS = st.text(alphabet=',"\r\n a_é', max_size=4)
+_SCALARS = st.one_of(
+    st.floats(),  # with -0.0, NaN and both infinities
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    _CELL_STRINGS,
+    st.complex_numbers(),
+)
+_FIELD_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), min_size=1, max_size=2),
+)
+
+
+def _twin(value):
+    """``value`` again as another object, where Python makes one."""
+    if type(value) is float:
+        return struct.unpack("d", struct.pack("d", value))[0]
+    if type(value) is int:
+        return int(str(value))
+    if type(value) is str:
+        return (value + ".")[:-1]
+    if type(value) is complex:
+        return complex(value.real, value.imag)
+    return copy.deepcopy(value)  # True, False and None are the only objects of their value
+
+
+def _cast(value):
+    """An equal value of another type where there is one: 1 for 1.0 or
+    True, 1.0 for 1."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) in (int, bool) and abs(value) < 2**53:
+        return float(value)
+    return value
+
+
+@st.composite
+def _streams(draw):
+    """Records that share a key order, now and then reordered, and the lists
+    to write into a field's list in place just before a record is read.
+    Each field after the first record holds the very object of the record
+    before, an equal other object, an equal value of another type, or a new
+    value."""
+    keys = draw(st.lists(_CELL_STRINGS, min_size=1, max_size=5, unique=True))
+    previous = {key: draw(_FIELD_VALUES) for key in keys}
+    records, edits = [previous], {}
+    for index in range(1, draw(st.integers(1, 6))):
+        order = draw(st.one_of(st.just(keys), st.permutations(keys)))
+        record = {}
+        for key in order:
+            how = draw(st.sampled_from(["same", "twin", "cast", "new"]))
+            if how == "new":
+                record[key] = draw(_FIELD_VALUES)
+                continue
+            record[key] = {"same": lambda v: v, "twin": _twin, "cast": _cast}[how](previous[key])
+            if how == "same" and type(record[key]) is list and draw(st.booleans()):
+                edits.setdefault(index, []).append((key, draw(st.lists(_SCALARS, max_size=3))))
+        records.append(record)
+        previous = record
+    return records, edits
+
+
+def _replay(records, edits):
+    """The stream, with its in-place edits, on copies of its lists."""
+    for index, record in enumerate(copy.deepcopy(records)):
+        for key, items in edits.get(index, ()):
+            record[key][:] = items
+        yield record
+
+
+# A list changed in place, a zero that changes sign, and a cell with a comma,
+# in the third record: a JSON stream plans its line on the second.
+_EDITED = [0.5, 0.25]
+_EDITED_STREAM = (
+    [{"p": _EDITED, "z": 0.0, "s": "a,b"}] * 2 + [{"p": _EDITED, "z": -0.0, "s": "a,b"}],
+    {2: [("p", [0.75, 1.5])]},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=_streams(), output_format=st.sampled_from(["json", "csv"]))
+@example(stream=_EDITED_STREAM, output_format="json")
+@example(stream=_EDITED_STREAM, output_format="csv")
+def test_emit_records_writes_the_bytes_of_encoding_each_record_alone(stream, output_format):
+    reference = {"json": _reference_json, "csv": _reference_csv}[output_format]
+    want, got = io.StringIO(), io.StringIO()
+    want_error = got_error = None
+    try:
+        reference(_replay(*stream), want)
+    except ValueError as exc:
+        want_error = str(exc)
+    try:
+        emit_records(_replay(*stream), output_format, got)
+    except ValueError as exc:
+        got_error = str(exc)
+    assert got.getvalue() == want.getvalue()
+    assert got_error == want_error
 
 
 class TestExitContract:
