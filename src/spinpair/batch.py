@@ -9,8 +9,8 @@ operation for operation, so every point of a batch carries the bits of its own
 evaluation.  NumPy's complex loops are not used, because their SIMD variants
 may fuse a multiply and an add, which makes the last bit depend on the CPU.
 Real values of a batch are float64 arrays, whose +, - and * round alike
-everywhere.  The batch axes of a ``Directions`` broadcast like any NumPy
-shape.
+everywhere; ``Complexes`` reads them as any operand, by ``real`` and ``imag``.
+The batch axes of a ``Directions`` broadcast like any NumPy shape.
 
 ``stack`` turns the entries a body computes into the array a public function
 returns, and ``unstack`` turns such an array back into entries: one point's
@@ -27,8 +27,9 @@ import numpy as np
 class Complexes:
     """Complex numbers of a batch as float64 arrays of real and imaginary parts.
 
-    A real operand x counts as x + 0j, as CPython 3.11 converts it, so every
-    result has the bits of the Python complex operation on each point.
+    Every operand (a Complexes, a float64 array or a number) is read by its
+    ``real`` and ``imag``: a real x is x + 0j, as CPython 3.11 converts it, so
+    each result has the bits of the Python complex operation on each point.
     """
 
     __slots__ = ("real", "imag")
@@ -47,11 +48,7 @@ class Complexes:
         return Complexes(self.real - other.real, self.imag - other.imag)
 
     def __mul__(self, other):
-        a, b = self.real, self.imag
-        if isinstance(other, np.ndarray) and other.dtype.kind == "f":
-            c, d = other, 0.0  # the imaginary part of a real array, not allocated
-        else:
-            c, d = other.real, other.imag
+        a, b, c, d = self.real, self.imag, other.real, other.imag
         return Complexes(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__  # each product and sum commutes bit for bit

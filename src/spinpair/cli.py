@@ -195,8 +195,8 @@ def _parse_pair(value, field: str, cls):
             default if value.get(key) is None else value[key]
             for key, default in zip(keys, defaults)
         ]
-    elif isinstance(value, (str, list, tuple)):
-        tokens = value.split(",") if isinstance(value, str) else list(value)
+    elif isinstance(value, (str, list)):
+        tokens = value.split(",") if isinstance(value, str) else value
     else:
         raise UsageError(f"{field}: expected {form}, got {_quoted(value)}")
     if len(tokens) != 2:
@@ -685,8 +685,10 @@ _SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 
 def _write(records, config: RunConfig) -> None:
     """Stamp every record with the package version, the run's seed and one
-    timestamp, and emit them to stdout; once the reader has gone, write
-    nothing more."""
+    timestamp, and emit them to stdout; with no stdout (the run started with
+    it closed), or once the reader has gone, write nothing more."""
+    if sys.stdout is None:
+        return
     now = datetime.now(timezone.utc).isoformat()
     for record in records:
         record.update(version=__version__, seed=config.seed, timestamp=now)

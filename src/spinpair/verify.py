@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expectation, kernels, operators, states
 from .batch import rect, unstack
-from .directions import Direction, Directions, Z_AXIS, angle_between
+from .directions import Direction, Directions, Z_AXIS
 from .kernels import B_INDEX_ORDER, CompoundLabel, SQRT_HALF
 from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues
 
@@ -303,7 +303,7 @@ def _check_singlet_cosine_law(rng, samples):
     d, f = _draw(rng, samples, 2 * [_DIRECTION])
     c2 = Directions(np.linspace(0.0, math.pi, samples), 0.0)
     spec = MeasurementSpec(Z_AXIS, c2, SPIN_PROJECTION_VALUES, SPIN_PROJECTION_VALUES)
-    want = np.array([-math.cos(angle_between(Z_AXIS, c)) for c in c2.points()])
+    want = -np.cos(c2.theta)  # the angle between c2 and the z axis is c2's theta
     matrix = expectation._matrix_route(singlet, spec, d, f)
     return _rows(samples, matrix - want, expectation._oracle_route(singlet, spec) - want)
 

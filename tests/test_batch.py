@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinpair import expectation, kernels, operators, states
-from spinpair.batch import stack
+from spinpair.batch import Complexes, stack
 from spinpair.directions import Direction, Directions, Z_AXIS, _reduce
 from spinpair.kernels import B_INDEX_ORDER, CompoundLabel
 from spinpair.operators import MeasurementSpec, OutcomeValues
@@ -308,6 +308,25 @@ def test_a_batch_read_again_has_the_bits_of_each_point():
     want = [_bits(_per_point(lambda k: alone[k][i], N)) for i in range(len(alone[0]))]
     for _ in range(2):
         assert [_bits(got) for got in read()] == want
+
+
+def _as_array(z: Complexes) -> np.ndarray:
+    """The points of ``z`` as one complex array, its parts copied bit for bit."""
+    out = np.empty(np.shape(z.real), complex)
+    out.real, out.imag = z.real, z.imag
+    return out
+
+
+def test_complexes_times_a_real_array_has_the_bits_of_complex_times_float():
+    # every combination of signed zeros, infinities, NaN, subnormals and two
+    # ordinary numbers as the real part, the imaginary part and the factor
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1.5, -3.0]
+    a, b, x = (g.ravel() for g in np.meshgrid(*3 * [np.array(edges)], indexing="ij"))
+    z = Complexes(a, b)
+    want = _bits([complex(p, q) * r for p, q, r in zip(a.tolist(), b.tolist(), x.tolist())])
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, as in Python
+        assert _bits(_as_array(z * x)) == _bits(_as_array(x * z)) == want
+        assert _bits(_as_array(z * Complexes(x, np.zeros_like(x)))) == want
 
 
 def test_batch_axes_broadcast(inputs):

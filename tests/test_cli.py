@@ -1197,12 +1197,30 @@ _EDITED_STREAM = (
     [{"p": _EDITED, "z": 0.0, "s": "a,b"}] * 2 + [{"p": _EDITED, "z": -0.0, "s": "a,b"}],
     {2: [("p", [0.75, 1.5])]},
 )
+# Complex and list fields in a stream of one record, which a JSON stream
+# encodes whole, and in a stream whose key order changes at its second record,
+# which a JSON stream encodes whole and plans on the third, and which a CSV
+# stream refuses.
+_COMPLEX = complex(-0.0, 1.5)
+_ONE_RECORD_STREAM = (
+    [{"c": _COMPLEX, "l": [1.0, _COMPLEX], "m": [[0.5, -2], [_COMPLEX, None]], "s": "a"}],
+    {},
+)
+_REORDERED_STREAM = (
+    [{"c": _COMPLEX, "l": [0.5, _COMPLEX]}, {"l": [0.5, _COMPLEX], "c": _COMPLEX}]
+    + [{"l": [0.75, 1j], "c": _COMPLEX}],
+    {},
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(stream=_streams(), output_format=st.sampled_from(["json", "csv"]))
 @example(stream=_EDITED_STREAM, output_format="json")
 @example(stream=_EDITED_STREAM, output_format="csv")
+@example(stream=_ONE_RECORD_STREAM, output_format="json")
+@example(stream=_ONE_RECORD_STREAM, output_format="csv")
+@example(stream=_REORDERED_STREAM, output_format="json")
+@example(stream=_REORDERED_STREAM, output_format="csv")
 def test_emit_records_writes_the_bytes_of_encoding_each_record_alone(stream, output_format):
     reference = {"json": _reference_json, "csv": _reference_csv}[output_format]
     want, got = io.StringIO(), io.StringIO()
@@ -1484,6 +1502,30 @@ class TestExitContract:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe())
         assert main(["verify", "--seed", "3"]) == EXIT_VERIFY
         assert "FAILED: kernel_unitarity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            ("verify --seed 1", EXIT_OK),
+            ("verify --seed 1 --tol kernel_unitarity=1e-30", EXIT_VERIFY),
+            ("expect --s 0 --M 0 --c1 0.4,0 --c2 1.3,0.8", EXIT_INTERNAL),
+        ],
+        ids=["passing-verify", "failing-verify", "internal-consistency"],
+    )
+    def test_a_run_started_with_stdout_closed_prints_what_it_prints_on_stderr(
+        self, capsys, monkeypatch, argv, want
+    ):
+        # Python sets sys.stdout to None when it starts with descriptor 1 closed
+        def broken_pair(spec, d, f):
+            return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
+
+        if want == EXIT_INTERNAL:
+            inject_blocks(monkeypatch, broken_pair)
+        assert main(argv.split()) == want
+        err = capsys.readouterr().err
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv.split()) == want
+        assert capsys.readouterr().err == err
 
     def test_identical_seeds_give_identical_payloads(self, capsys):
         _, first = _run(capsys, ["verify", "--seed", "7"])

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spinpair.expectation as expectation_mod
 import spinpair.kernels as kernels_mod
 import spinpair.operators as operators_mod
 import spinpair.states as states_mod
@@ -85,8 +86,9 @@ def _nan(x, k):
         (operators_mod, "r_matrix", 100, _scaled, "standard_form_operators"),
         (states_mod, "assemble_state", 50, _scaled_tensor, "state_normalization"),
         (kernels_mod, "xi_half", 500, _nan, "kernel_unitarity"),
+        (expectation_mod, "_matrix_route", 45, _scaled, "singlet_cosine_law"),
     ],
-    ids=["xi_half-500", "r_matrix-100", "assemble_state-50", "xi_half-500-nan"],
+    ids=["xi_half-500", "r_matrix-100", "assemble_state-50", "xi_half-500-nan", "matrix_route-45"],
 )
 def test_one_faulty_sample_fails_its_check(monkeypatch, module, name, k, corrupt, check):
     # Only sample k of the first batch the named check evaluates is wrong;
