@@ -15,8 +15,8 @@ The batch axes of a ``Directions`` broadcast like any NumPy shape.
 ``stack`` turns the entries a body computes into the array a public function
 returns, and ``unstack`` turns such an array back into entries: one point's
 array has the core shape, a batch's has the batch axes before it.
-``readonly`` refuses writes to an array that is kept or shared: a batch's
-angles, and the arrays a direction keeps (see ``kernels``).
+``readonly`` refuses writes to an array that is kept or shared, and to a view's
+base: a batch's angles, and the arrays a direction keeps (see ``kernels``).
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ def stack(values, shape: tuple[int, ...]) -> np.ndarray:
     as each body's first value depends on all of its inputs.
     """
     if isinstance(values[0], _POINT_TYPES):
-        a = np.array(values)
-        return a.reshape(shape) if len(shape) > 1 else a
+        return np.array(values).reshape(shape)
     if any(isinstance(v, (Complexes, complex)) for v in values):
         parts = [(v.real, v.imag) for v in values]
         batch = np.broadcast(*(p for pair in parts for p in pair)).shape
@@ -93,9 +92,11 @@ def stack(values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def readonly(a):
-    """``a`` with writes refused from now on; a NumPy scalar refuses them already."""
-    if isinstance(a, np.ndarray):
-        a.setflags(write=False)
+    """``a`` with writes refused from now on, also through its ``.base``, the
+    array a view reads; a NumPy scalar refuses them already."""
+    for array in (a, a.base):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
     return a
 
 

@@ -461,76 +461,57 @@ def _csv_columns(key: str, value) -> tuple[list[str], list[str]]:
     return names, cells
 
 
-def _emit_json(records, out) -> None:
-    keys = parts = None
+def emit_records(records, output_format: str, out) -> None:
+    """Write ``records``, dicts with str keys, to ``out`` as JSON Lines or as
+    CSV under one header row, in the bytes of encoding each record on its own.
+
+    One loop serves both formats, planned once per key order: per field its
+    JSON key text or CSV columns, and its last value with that value's text.
+    A field formats its value only when it does not hold the very object, of
+    an immutable type, that it held in the record before, so a scan formats
+    the input echo that every record repeats once.  The first JSON record of
+    a key order, with nothing to reuse, goes through the encoder whole.
+    """
+    as_csv = output_format == "csv"
+    keys = plan = header = None
     for record in records:
-        if keys != tuple(record):  # nothing to reuse: the encoder writes it whole
-            keys, parts = tuple(record), None
-            out.write(_json_encode(record) + "\n")
-            continue
-        if parts is None:  # plan the line once a record repeats the keys
-            parts = ["{"]
-            for i, key in enumerate(keys):
-                parts += (("," if i else "") + encode_basestring_ascii(key) + ":", "")
-            parts.append("}\n")
-            slots, kept = range(2, len(parts), 2), [_UNSET] * len(parts)
-        for slot, value in zip(slots, record.values()):
-            if value is kept[slot]:
+        if keys != tuple(record):
+            keys, plan = tuple(record), None
+            if not as_csv:  # nothing to reuse: the encoder writes it whole
+                out.write(_json_encode(record) + "\n")
                 continue
-            if type(value) is float and math.isfinite(value):
-                parts[slot] = float.__repr__(value)
-            else:
-                parts[slot] = _json_encode(value)
-            kept[slot] = value if type(value) in _CELL_TEXT else _UNSET
-        out.write("".join(parts))
-
-
-def _emit_csv(records, out) -> None:
-    header = keys = None
-    for record in records:
-        reshaped = keys != tuple(record)
-        if reshaped:  # plan the row: per field its columns, a scalar's until shown otherwise
-            keys = tuple(record)
-            columns, scalar = [[key] for key in keys], [True] * len(keys)
-            kept, texts = [_UNSET] * len(keys), [""] * len(keys)
+        reshaped = plan is None
+        if reshaped:  # per field its key text or columns, a scalar's until shown otherwise
+            kept, texts, scalar = [_UNSET] * len(keys), [""] * len(keys), [True] * len(keys)
+            plan = [[key] if as_csv else "," + encode_basestring_ascii(key) + ":" for key in keys]
         for field, value in enumerate(record.values()):
             if value is kept[field]:
                 continue
             text = _CELL_TEXT.get(type(value))
-            if text is not None and scalar[field]:
+            kept[field] = value if text else _UNSET
+            if not as_csv:
+                finite = type(value) is float and math.isfinite(value)
+                texts[field] = plan[field] + (float.__repr__ if finite else _json_encode)(value)
+            elif text and scalar[field]:
                 texts[field] = "," + text(value)
-                kept[field] = value
-                continue
-            names, cells = _csv_columns(keys[field], value)
-            texts[field] = "," + ",".join(cells) if cells else ""
-            kept[field] = value if text is not None else _UNSET
-            if names != columns[field]:
-                columns[field], scalar[field] = names, names == [keys[field]]
-                reshaped = True
+            else:
+                names, cells = _csv_columns(keys[field], value)
+                texts[field] = "," + ",".join(cells) if cells else ""
+                if names != plan[field]:
+                    plan[field], scalar[field], reshaped = names, names == [keys[field]], True
+        line = "".join(texts)[1:]
+        if not as_csv:
+            out.write("{" + line + "}\n")
+            continue
         if reshaped:
-            names = [name for field_names in columns for name in field_names]
+            names = [name for field_names in plan for name in field_names]
             if header is None:
                 header = names
                 out.write(_csv_row(header))
             elif names != header:
                 raise ValueError("records in one CSV stream must share a schema")
-        line = "".join(texts)[1:]
         # an empty line is a row of at most one cell, which csv.writer spells
         out.write(line + "\n" if line else _csv_row([""] * len(header)))
-
-
-def emit_records(records, output_format: str, out) -> None:
-    """Write ``records``, dicts with str keys, to ``out`` as JSON Lines or as
-    CSV under one header row, in the bytes of encoding each record on its own.
-
-    A stream is planned once per key order: per field its JSON key or CSV
-    columns, and its last value with that value's text.  A field formats its
-    value only when it does not hold the very object, of an immutable type,
-    that it held in the record before, so a scan formats the input echo that
-    every record repeats once.  A JSON record with nothing to reuse, the first
-    of its key order, goes through the encoder whole.
-    """
-    (_emit_json if output_format == "json" else _emit_csv)(records, out)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +615,7 @@ def _cmd_verify(config: RunConfig):
     summary = f"{len(results) - len(failed)}/{len(results)} checks passed (seed={config.seed})"
     if failed:
         summary += "; FAILED: " + ", ".join(failed)
-    print(summary, file=sys.stderr)
+    _print_stderr(summary)
     return records, (EXIT_VERIFY if failed else EXIT_OK)
 
 
@@ -683,6 +664,14 @@ _SUBCOMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 }
 
 
+def _print_stderr(message: str) -> None:
+    """``message`` as a line on stderr, or nothing where no stderr takes it."""
+    try:  # not print(): given file=None, as sys.stderr is with fd 2 closed, it writes to stdout
+        sys.stderr.write(message + "\n")
+    except (AttributeError, OSError):  # as argparse drops its own messages
+        pass
+
+
 def _write(records, config: RunConfig) -> None:
     """Stamp every record with the package version, the run's seed and one
     timestamp, and emit them to stdout; with no stdout (the run started with
@@ -711,14 +700,14 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return EXIT_USAGE
     try:
         records, code = _SUBCOMMANDS[config.command][0](config)
     except InternalConsistencyError as exc:
         record = {"command": config.command, "error": "internal-consistency", "detail": str(exc)}
         _write([record], config)
-        print(f"internal consistency violation: {exc}", file=sys.stderr)
+        _print_stderr(f"internal consistency violation: {exc}")
         return EXIT_INTERNAL
     _write(records, config)
     return code

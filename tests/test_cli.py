@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -1042,14 +1043,25 @@ def test_csv_and_json_agree_cell_for_cell(capsys, argv, complex_keys):
         assert list(row.items()) == list(cells.items())
 
 
+_SCALAR_B = {"a": 1.0, "b": 2}
+
+
+# A list of one element gives one column too, b_0, not b.
 @pytest.mark.parametrize(
-    "second",
-    [{"a": 2.0, "c": 3.0}, {"b": 1, "a": 2.0}, {"a": 1.0, "b": [1, 2]}, {"a": 1.0, "b": 1j}],
-    ids=["renamed", "reordered", "list", "complex"],
+    "first, second",
+    [
+        (_SCALAR_B, {"a": 2.0, "c": 3.0}),
+        (_SCALAR_B, {"b": 1, "a": 2.0}),
+        (_SCALAR_B, {"a": 1.0, "b": [1, 2]}),
+        (_SCALAR_B, {"a": 1.0, "b": 1j}),
+        (_SCALAR_B, {"a": 1.0, "b": [2]}),
+        ({"a": 1.0, "b": [2]}, _SCALAR_B),
+    ],
+    ids=["renamed", "reordered", "list", "complex", "one-element-list", "scalar-after-list"],
 )
-def test_a_csv_stream_with_a_changed_schema_is_refused(second):
+def test_a_csv_stream_with_a_changed_schema_is_refused(first, second):
     with pytest.raises(ValueError, match="share a schema"):
-        emit_records([{"a": 1.0, "b": 2}, second], "csv", io.StringIO())
+        emit_records([first, second], "csv", io.StringIO())
 
 
 # The encoders emit_records replaced, one record at a time: the reference for
@@ -1211,6 +1223,8 @@ _REORDERED_STREAM = (
     + [{"l": [0.75, 1j], "c": _COMPLEX}],
     {},
 )
+# Records of no field: a JSON line "{}", a CSV row of no cells.
+_EMPTY_STREAM = ([{}, {}, {}], {})
 
 
 @settings(max_examples=300, deadline=None)
@@ -1221,6 +1235,8 @@ _REORDERED_STREAM = (
 @example(stream=_ONE_RECORD_STREAM, output_format="csv")
 @example(stream=_REORDERED_STREAM, output_format="json")
 @example(stream=_REORDERED_STREAM, output_format="csv")
+@example(stream=_EMPTY_STREAM, output_format="json")
+@example(stream=_EMPTY_STREAM, output_format="csv")
 def test_emit_records_writes_the_bytes_of_encoding_each_record_alone(stream, output_format):
     reference = {"json": _reference_json, "csv": _reference_csv}[output_format]
     want, got = io.StringIO(), io.StringIO()
@@ -1235,6 +1251,13 @@ def test_emit_records_writes_the_bytes_of_encoding_each_record_alone(stream, out
         got_error = str(exc)
     assert got.getvalue() == want.getvalue()
     assert got_error == want_error
+
+
+class _BadDescriptor(io.StringIO):
+    """A stderr on a descriptor that takes no writes."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
 
 
 class TestExitContract:
@@ -1527,6 +1550,35 @@ class TestExitContract:
         assert main(argv.split()) == want
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            ("verify --seed 1", EXIT_OK),
+            ("expect --s 0", EXIT_USAGE),
+            ("verify --seed 1 --tol kernel_unitarity=1e-30", EXIT_VERIFY),
+            ("expect --s 0 --M 0 --c1 0.4,0 --c2 1.3,0.8", EXIT_INTERNAL),
+        ],
+        ids=["ok", "usage", "verify", "internal-consistency"],
+    )
+    @pytest.mark.parametrize("stderr", [None, _BadDescriptor()], ids=["none", "ebadf"])
+    def test_a_run_without_stderr_prints_what_it_prints_with_it(
+        self, capsys, monkeypatch, argv, want, stderr
+    ):
+        # Python sets sys.stderr to None when it starts with descriptor 2
+        # closed; a stream on a descriptor that is closed or read-only fails
+        # its writes. Neither may change the exit code, or reach stdout.
+        def broken_pair(spec, d, f):
+            return np.array([[1.0j, 0.0], [0.0, 0.0]]), np.eye(2)
+
+        if want == EXIT_INTERNAL:
+            inject_blocks(monkeypatch, broken_pair)
+        assert main(argv.split()) == want
+        with_stderr = capsys.readouterr()
+        assert with_stderr.err.count("\n") == 1  # the one line each run drops without it
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(argv.split()) == want
+        assert _strip_timestamps(capsys.readouterr().out) == _strip_timestamps(with_stderr.out)
+
     def test_identical_seeds_give_identical_payloads(self, capsys):
         _, first = _run(capsys, ["verify", "--seed", "7"])
         _, second = _run(capsys, ["verify", "--seed", "7"])
@@ -1638,6 +1690,26 @@ class TestSubprocess:
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stderr) == (code, captured.err)
         assert _strip_timestamps(proc.stdout) == _strip_timestamps(captured.out)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("verify --seed 1", EXIT_OK),
+            ("verify --seed 1 --tol kernel_unitarity=1e-30", EXIT_VERIFY),
+        ],
+        ids=["passing", "failing"],
+    )
+    def test_a_run_started_with_stderr_closed_writes_every_record(self, argv, code):
+        # the shell closes descriptor 2 before Python starts
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m spinpair "$@" 2>&-', sys.executable, *argv.split()],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+        records = [json.loads(line, parse_constant=_refuse) for line in proc.stdout.splitlines()]
+        assert len(records) == len(DEFAULT_TOLERANCES)
 
     def test_usage_error_status(self):
         proc = subprocess.run(

@@ -16,6 +16,7 @@ from spinpair import (
     gram_matrix,
     reduce_axis_aligned,
     xi_half,
+    zeta_spin1,
 )
 from spinpair.batch import Complexes, stack
 from support import compound_labels, directions, draw_direction, four_labels
@@ -159,6 +160,26 @@ class TestWhatAStateIsBuiltFrom:
             a[...] = math.nan
         assert bits(assemble_state(label, d, f)) == want
         assert bits(first) == want
+
+    @BUILDS
+    def test_no_write_reaches_a_state_or_a_kept_array_through_its_base(self, build):
+        # a read-only array over a writeable one would let every later
+        # xi_half(Z_AXIS, d) and state read what a write put there
+        label, d, f = build()
+        asm = assemble_state(label, d, f)
+        arrays = [asm.tensor, *(eta for t in asm.terms for eta in (t.eta1, t.eta2))]
+        for x in (label.axis, d, f):
+            xi_half(Z_AXIS, x), zeta_spin1(1, x)  # so every direction but Z_AXIS keeps both
+            if x is not Z_AXIS:
+                arrays += [x._xi, *x._zeta]
+        for a in arrays:
+            for target in (a, a.base):
+                if target is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        target[...] = math.nan
+        # the public kernels still return fresh arrays to write into
+        for fresh in (xi_half(Z_AXIS, d), zeta_spin1(0, f)):
+            assert fresh.flags.writeable and fresh.flags.owndata
 
 
 class TestAxisAlignedReduction:
