@@ -24,7 +24,12 @@ direction however many pairs or amplitudes read it, and the two public kernels
 return a copy of a kept array.  ``Z_AXIS`` keeps nothing, which ``_keep`` sees
 to.  Every kernel runs unchanged on one point or on a batch (a ``Directions``,
 or a label whose axis is one): the entries are then Complexes, the arrays have
-the batch axes first (see ``batch``).
+the batch axes first (see ``batch``).  A batch may also mix the triplet
+labels: a ``_TripletBatch`` carries an int array M, one projection per point,
+which broadcasts against its axis.  ``zeta_spin1`` takes such an M and picks
+each point's row of the three arrays the axis keeps, and ``_chi_row`` picks
+each point's entries of the three ``_zeta_entries`` rows; the label keeps its
+row as a ``CompoundLabel`` does.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .batch import readonly, stack, unstack
+from .batch import Complexes, readonly, stack, unstack
 from .directions import Direction, Z_AXIS
 
 SQRT_HALF = math.sqrt(0.5)
@@ -96,6 +101,21 @@ class CompoundLabel:
             return self._row
         except AttributeError:
             return _keep(self, "_row", _chi_row(self))
+
+
+class _TripletBatch:
+    """The triplet labels (1, M) of a batch, M an int array of +1, 0 and -1
+    that broadcasts against the axis: one label per point, which the public
+    ``CompoundLabel`` does not take.  It keeps its ``_chi_row`` as that does.
+    """
+
+    s = 1
+
+    def __init__(self, M: np.ndarray, axis: Direction) -> None:
+        self.M = _projections(M)
+        self.axis = axis
+
+    _coupling_row = CompoundLabel._coupling_row
 
 
 def _xi_entries(initial, final) -> list:
@@ -183,7 +203,32 @@ def _zeta_entries(M: int, a) -> list:
     if M == -1:
         c, h = cos(th / 2.0), sin(th / 2.0)
         return [-(h * h) * em, zero + SQRT_HALF * s, -(c * c) * ep]
-    raise ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
+    raise _m_error(M)
+
+
+# The row of each spin-1 projection M, in the order M = +1, 0, -1.
+_M_ROW = {1: 0, 0: 1, -1: 2}
+
+
+def _m_error(M) -> ValueError:
+    return ValueError(f"spin-1 projection M must be +1, 0 or -1, got {M!r}")
+
+
+def _projections(M) -> np.ndarray:
+    """``M``, an int array of spin-1 projections, one per point; anything else
+    raises ValueError."""
+    if not (isinstance(M, np.ndarray) and M.dtype.kind == "i" and (abs(M) <= 1).all()):
+        raise _m_error(M)
+    return M
+
+
+def _zeta_rows(a) -> tuple:
+    """The read-only arrays of ``zeta_spin1(M, a)`` for M = +1, 0, -1, kept on ``a``."""
+    try:
+        return a._zeta
+    except AttributeError:
+        rows = tuple(readonly(stack(_zeta_entries(m, a), (3,))) for m in (1, 0, -1))
+        return _keep(a, "_zeta", rows)
 
 
 def zeta_spin1(M: int, a: Direction) -> np.ndarray:
@@ -191,16 +236,18 @@ def zeta_spin1(M: int, a: Direction) -> np.ndarray:
 
     Returns the three amplitudes to the z-axis projections, ordered
     M_l = (+1, 0, -1).  Each triple has unit norm and the three triples for
-    M = +1, 0, -1 form a unitary 3x3 matrix.
+    M = +1, 0, -1 form a unitary 3x3 matrix.  M may also be an int array, one
+    projection per point of a batch, broadcast against ``a``'s batch axes.
     """
-    if M not in (1, 0, -1):  # which _zeta_entries refuses
-        return stack(_zeta_entries(M, a), (3,))
-    try:  # a copy of M's row, of the rows ``a`` keeps for M = +1, 0, -1
-        rows = a._zeta
-    except AttributeError:
-        rows = tuple(readonly(stack(_zeta_entries(m, a), (3,))) for m in (1, 0, -1))
-        _keep(a, "_zeta", rows)
-    return rows[(1, 0, -1).index(M)].copy()
+    try:
+        row = _M_ROW[M]
+    except KeyError:
+        raise _m_error(M) from None
+    except TypeError:  # unhashable: an array, each point's row of the three
+        M = _projections(M)[..., None]
+        plus, zero, minus = _zeta_rows(a)
+        return np.where(M == 1, plus, np.where(M == 0, zero, minus))
+    return _zeta_rows(a)[row].copy()  # a copy of M's row of those ``a`` keeps
 
 
 # Coupling coefficients of the four total-spin labels (s, M), one row per
@@ -264,10 +311,22 @@ def chi(label: CompoundLabel, m1: SpinHalfLabel, m2: SpinHalfLabel) -> complex:
 
 def _chi_row(label: CompoundLabel) -> tuple:
     """``chi(label, m1, m2)`` over B_INDEX_ORDER, from the table's rows and
-    one evaluation of the spin-1 amplitudes."""
+    one evaluation of the spin-1 amplitudes; for a ``_TripletBatch``, each
+    point's entries of the three rows."""
     if label.s == 0:
         return tuple(complex(value) for value in _CG_ROWS[0, 0])
-    zp, z0, zm = _zeta_entries(label.M, label.axis)
+    if isinstance(label, _TripletBatch):
+        plus, zero = label.M == 1, label.M == 0
+        entries = zip(*(_zeta_entries(m, label.axis) for m in (1, 0, -1)))
+        zp, z0, zm = (
+            Complexes(
+                np.where(plus, p.real, np.where(zero, z.real, m.real)),
+                np.where(plus, p.imag, np.where(zero, z.imag, m.imag)),
+            )
+            for p, z, m in entries
+        )
+    else:
+        zp, z0, zm = _zeta_entries(label.M, label.axis)
     # chi's s = 1 sum on the same table values, so each entry is == to
     # chi(label, m1, m2).
     return tuple(

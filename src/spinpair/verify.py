@@ -2,10 +2,12 @@
 
 Each check draws its samples from a generator of its own, seeded from the
 run's seed and the check's row, evaluates the library on them as one batch
-per label (see ``batch``) and returns the magnitude of every residual, one
-row per sample; it passes when the worst is within tolerance.  A residual is
-formed from real and imaginary parts with float64 +, -, * and hypot only,
-which round alike on every host, so the report does not depend on the CPU.
+(see ``batch``), or as two where the label matters: the three triplets under
+one label with an M per sample (``kernels._TripletBatch``), then the singlet.
+It returns the magnitude of every residual, one row per sample; it passes
+when the worst is within tolerance.  A residual is formed from real and
+imaginary parts with float64 +, -, * and hypot only, which round alike on
+every host, so the report does not depend on the CPU.
 The checks run in this process, one after another.  Kernel and engine
 functions are looked up through their modules at call time, so a harness
 that swaps one out (to confirm the suite notices) does not need to reload
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expectation, kernels, operators, states
-from .batch import rect, unstack
+from .batch import readonly, rect, unstack
 from .directions import Direction, Directions, Z_AXIS
 from .kernels import B_INDEX_ORDER, CompoundLabel, SQRT_HALF
 from .operators import SPIN_PROJECTION_VALUES, MeasurementSpec, OutcomeValues
@@ -65,10 +67,27 @@ def _four_labels(axis) -> list[CompoundLabel]:
     return [CompoundLabel(s, M, axis) for s, M in _LABELS]
 
 
+# The M of each triplet of _LABELS, in order, on a leading axis of its own.
+_TRIPLET_M = readonly(np.array([[M] for s, M in _LABELS if s == 1]))
+
+
+def _two_labels(axis) -> list:
+    """The labels of _LABELS on ``axis`` as two batches: the triplets as one
+    label, whose batch axes are a leading (3,) axis of M before ``axis``'s,
+    and the singlet."""
+    return [kernels._TripletBatch(_TRIPLET_M, axis), CompoundLabel(0, 0, axis)]
+
+
 def _rows(n: int, *residuals) -> np.ndarray:
-    """``n`` rows, one per sample, of the magnitude of each residual; a
-    residual the same at every sample repeats."""
-    return np.stack([np.broadcast_to(abs(r), (n,)) for r in residuals], axis=-1)
+    """One row per sample of the magnitude of each residual, over ``n``
+    samples; a residual the same at every sample repeats.  A triplet batch's
+    residuals have its (3,) label axis before the samples, and their rows
+    come label by label."""
+    # the samples behind a label axis if any residual has one (broadcast_to
+    # refuses any other shape); np.broadcast_shapes would cost more than the rows
+    shape = max([(n,), *map(np.shape, residuals)], key=len)
+    rows = np.stack([np.broadcast_to(abs(r), shape) for r in residuals], axis=-1)
+    return rows.reshape(-1, len(residuals))
 
 
 def _gaps(n: int, got, want) -> np.ndarray:
@@ -153,7 +172,7 @@ def _check_clebsch_gordan_orthonormality(rng):
 
 def _check_chi_completeness(rng, samples):
     (axis,) = _draw(rng, samples, [_DIRECTION])
-    rows = ([kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in _four_labels(axis))
+    rows = ([kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER] for lb in _two_labels(axis))
     return np.concatenate([_rows(samples, _norm_gap(row)) for row in rows])
 
 
@@ -163,13 +182,14 @@ def _check_chi_completeness(rng, samples):
 
 def _check_state_normalization(rng, samples):
     d, f, axis = _draw(rng, samples, 3 * [_DIRECTION])
-    tensors = (states.assemble_state(lb, d, f).tensor for lb in _four_labels(axis))
+    tensors = (states.assemble_state(lb, d, f).tensor for lb in _two_labels(axis))
     return np.concatenate([_rows(samples, _norm_gap(unstack(t, 1))) for t in tensors])
 
 
 def _check_state_orthonormality(rng, samples):
     a, d, f = _draw(rng, samples, 3 * [_DIRECTION])
-    t = [unstack(states.assemble_state(lb, d, f).tensor, 1) for lb in _four_labels(a)]
+    triplets, singlet = (states.assemble_state(lb, d, f).tensor for lb in _two_labels(a))
+    t = [unstack(x, 1) for x in (*triplets, singlet)]
     gram = [[sum(x.conjugate() * y for x, y in zip(ti, tj)) for tj in t] for ti in t]
     return _gaps(samples, gram, _EYE4)
 
@@ -251,9 +271,10 @@ def _check_operator_covariance(rng, samples):
 
 
 def _random_problems(rng, n: int, k: int) -> list:
-    """``n`` random labels and specs (values on [-2, 2)), each with ``k`` more
-    directions, as one (label, spec, more) batch per label of _LABELS;
-    ``more`` has shape (k, samples with that label).
+    """``n`` random labels of _LABELS and specs (values on [-2, 2)), each with
+    ``k`` more directions, as two (label, spec, more) batches: the samples
+    with a triplet label, under one label with an M per sample, then those
+    with the singlet; ``more`` has shape (k, samples in the batch).
 
     The labels come from one ``rng.integers`` block and everything else from
     one ``_draw`` block after it.
@@ -262,12 +283,18 @@ def _random_problems(rng, n: int, k: int) -> list:
     fields = 3 * [_DIRECTION] + 4 * [(-2.0, 2.0)] + k * [_DIRECTION]
     axis, c1, c2, p1, m1, p2, m2, *more = _draw(rng, n, fields)
     more = Directions(np.array([x.theta for x in more]), np.array([x.phi for x in more]))
+    spin, projection = np.array(_LABELS).T
+    triplet = spin[labels] == 1
+    singlet = ~triplet
+    batches = (
+        (kernels._TripletBatch(projection[labels[triplet]], axis[triplet]), triplet),
+        (CompoundLabel(0, 0, axis[singlet]), singlet),
+    )
     problems = []
-    for i, (s, M) in enumerate(_LABELS):
-        at = labels == i
+    for label, at in batches:
         values = OutcomeValues(p1[at], m1[at]), OutcomeValues(p2[at], m2[at])
         spec = MeasurementSpec(c1[at], c2[at], *values)
-        problems.append((CompoundLabel(s, M, axis[at]), spec, more[:, at]))
+        problems.append((label, spec, more[:, at]))
     return problems
 
 
@@ -291,10 +318,10 @@ def _check_basis_invariance(rng, samples):
 def _check_probability_completeness(rng, samples):
     c1, c2, axis = _draw(rng, samples, 3 * [_DIRECTION])
     rows = []
-    for label in _four_labels(axis):
+    for label in _two_labels(axis):
         p = expectation.outcome_probabilities(label, c1, c2)
         # each quadruple's sum off 1, and each probability's distance from [0, 1]
-        rows.append(_rows(samples, sum(unstack(p, 1)) - 1.0, *(p - np.clip(p, 0.0, 1.0)).T))
+        rows.append(_rows(samples, sum(unstack(p, 1)) - 1.0, *unstack(p - np.clip(p, 0.0, 1.0), 1)))
     return np.concatenate(rows)
 
 

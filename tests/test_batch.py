@@ -277,6 +277,57 @@ def test_both_expectation_routes(inputs, s, M):
     assert _bits(oracle) == _bits(_per_point(alone_oracle, N))
 
 
+# The M of a triplet batch: mixed over the points, or the three M as a (3, 1)
+# axis against them.
+MIXED_M = np.random.default_rng(9).integers(-1, 2, N)
+LABEL_AXIS_M = np.array([[1], [0], [-1]])
+
+
+@pytest.mark.parametrize("M", [MIXED_M, LABEL_AXIS_M], ids=["mixed", "label-axis"])
+@pytest.mark.parametrize("axis", ["a", "poles", "z-axis"])
+def test_a_triplet_batch_has_the_bits_of_each_label(inputs, M, axis):
+    # each point of kernels._TripletBatch(M, a) is CompoundLabel(1, M_k, a_k),
+    # through the oracle route's chi and zeta_spin1 and the matrix route's
+    # coupling row alike
+    points = inputs["points"]
+    if axis == "z-axis":
+        a, a_points = Z_AXIS, N * [Z_AXIS]
+    else:
+        a = inputs["a"]
+        if axis == "poles":  # both poles, each at the azimuths of inputs["a"]
+            a = Directions(np.resize([0.0, math.pi], N), a.phi)
+        a_points = a.points()
+    label = kernels._TripletBatch(M, a)
+
+    def at(k=None):
+        # the batch's inputs, or sample k's
+        names = ("d", "f", "c1", "c2")
+        x = {name: inputs[name] if k is None else points[name][k] for name in names}
+        return dict(x, spec=_spec(inputs, k))
+
+    def each(fn, samples):
+        # fn on each point's label and inputs, row major over the batch axes
+        shape = np.broadcast_shapes(M.shape, np.shape(a.theta), (N,) if samples else ())
+        ms = np.broadcast_to(M, shape).ravel().tolist()
+        ks = np.broadcast_to(np.arange(shape[-1]), shape).ravel().tolist()
+        return np.array([fn(CompoundLabel(1, m, a_points[k]), at(k)) for m, k in zip(ms, ks)])
+
+    # (fn, whether it reads the inputs of the samples)
+    cases = [
+        (lambda lb, x: kernels.zeta_spin1(lb.M, lb.axis), False),
+        (lambda lb, x: stack([kernels.chi(lb, m1, m2) for m1, m2 in B_INDEX_ORDER], (4,)), False),
+        (lambda lb, x: stack(lb._coupling_row, (4,)), False),
+        (lambda lb, x: states.assemble_state(lb, x["d"], x["f"]).tensor, True),
+        (lambda lb, x: expectation.outcome_probabilities(lb, x["c1"], x["c2"]), True),
+        (lambda lb, x: expectation._matrix_route(lb, x["spec"], x["d"], x["f"]), True),
+        (lambda lb, x: expectation._oracle_route(lb, x["spec"]), True),
+    ]
+    for fn, samples in cases:
+        got, want = fn(label, at()), each(fn, samples)
+        assert np.size(got) == np.size(want)
+        assert _bits(got) == _bits(want)
+
+
 def test_singlet_expectation(inputs):
     got = expectation.singlet_expectation(inputs["c1"], inputs["c2"])
     points = inputs["points"]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -237,13 +238,27 @@ class TestKeptRows:
             first[...] = math.nan
             assert read().tobytes() == want
 
-    @pytest.mark.parametrize("bad", [2, -2, 0.5])
+    @pytest.mark.parametrize("bad", [2, -2, 0.5, 1.5, "1", [1], None])
     def test_a_bad_projection_is_refused_before_and_after_the_rows_are_kept(self, bad):
         d = Direction(0.7, 2.5)
+        message = re.escape(f"spin-1 projection M must be +1, 0 or -1, got {bad!r}")
         for _ in range(2):
-            with pytest.raises(ValueError, match="spin-1 projection M must be"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 zeta_spin1(bad, d)
             zeta_spin1(1, d)
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([1, 2]), np.array([[-2], [0]]), np.array([1.0, 0.0]), np.array([True])]
+    )
+    def test_an_array_of_projections_is_refused_unless_each_is_an_integer_m(self, bad):
+        # one M per point of a batch: an int array of +1, 0 and -1 alone,
+        # which a triplet batch label refuses alike
+        d = Directions([0.7, 1.2], [2.5, 0.3])
+        for a in (d, Direction(0.7, 2.5)):
+            with pytest.raises(ValueError, match="^spin-1 projection M must be .* got array"):
+                zeta_spin1(bad, a)
+            with pytest.raises(ValueError, match="^spin-1 projection M must be .* got array"):
+                kernels_mod._TripletBatch(bad, a)
 
     def test_the_z_axis_keeps_nothing(self):
         # vars, not dir: dir lists a slot or attribute name whether or not it is set
@@ -428,6 +443,14 @@ class TestCompoundLabel:
         [(1.0, 0, "s"), (1, 0.0, "M"), (True, True, "s"), (1, False, "M"), ("1", 0, "s")],
     )
     def test_rejects_a_non_integer_quantum_number(self, s, M, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            CompoundLabel(s, M, Z_AXIS)
+
+    @pytest.mark.parametrize(
+        "s, M, name", [(np.array([1, 1]), 1, "s"), (1, np.array([1, 0]), "M"), (1, np.array(0), "M")]
+    )
+    def test_rejects_an_array_of_quantum_numbers(self, s, M, name):
+        # one label per point is a private batch label's, not this one's
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             CompoundLabel(s, M, Z_AXIS)
 

@@ -34,7 +34,9 @@ class TestDraw:
     def test_random_problems_draw_the_labels_then_one_block(self):
         # one rng.integers block for all n labels, then one _draw block for
         # everything else, so a problem's numbers do not depend on n's labels;
-        # the problems come as one batch per label
+        # the problems come as two batches, the triplets (an M per sample)
+        # and then the singlet, and sample i keeps its label and row i of
+        # every field
         n, k = 40, 3
         seq = np.random.default_rng(5)
         labels = seq.integers(0, 4, n)
@@ -43,10 +45,14 @@ class TestDraw:
         block = np.random.default_rng(5)
         problems = list(verify._random_problems(block, n, k))
         assert block.random() == seq.random()  # both blocks drawn before the first problem
-        assert len(problems) == len(verify._LABELS)
-        for i, (label, spec, dirs) in enumerate(problems):
-            at = labels == i
-            assert (label.s, label.M) == verify._LABELS[i]
+        triplet = np.array([verify._LABELS[i][0] == 1 for i in labels])
+        assert 0 < np.count_nonzero(triplet) < n  # both batches hold samples
+        (triplets, *_), (singlet, *_) = problems
+        assert isinstance(triplets, kernels_mod._TripletBatch)
+        assert isinstance(singlet, kernels_mod.CompoundLabel)
+        for (label, spec, dirs), at in zip(problems, (triplet, ~triplet)):
+            want = [verify._LABELS[i] for i in labels[at]]
+            assert [(label.s, M) for M in np.broadcast_to(label.M, at.sum()).tolist()] == want
             assert _same(label.axis, axis[at])
             assert _same(spec.c1, c1[at]) and _same(spec.c2, c2[at])
             v1, v2 = spec.values1, spec.values2
@@ -70,7 +76,11 @@ def _scaled(x, k):
 
 
 def _scaled_tensor(asm, k):
-    return dataclasses.replace(asm, tensor=_scaled(asm.tensor, k))
+    # sample k is on the axis before the tensor's own, after a triplet
+    # batch's label axis
+    tensor = asm.tensor.copy()
+    tensor[..., k, :] = tensor[..., k, :] * (1.0 + 1e-6)
+    return dataclasses.replace(asm, tensor=tensor)
 
 
 def _nan(x, k):
